@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -99,15 +100,19 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _rows_csv(start: int, probs: np.ndarray) -> str:
-    lines = ["m_prime,probability"]
-    for offset, value in enumerate(probs):
-        lines.append(f"{start + offset},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    body = "".join([f"{mp},{value!r}\n"
+                    for mp, value in enumerate(probs.tolist(), start)])
+    return "m_prime,probability\n" + body
 
 
 def _rows_json(start: int, probs: np.ndarray, meta: dict) -> str:
-    rows = [[start + offset, float(value)] for offset, value in enumerate(probs)]
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    """The bytes of json.dumps({"meta": meta, "rows": rows}, indent=2) for
+    nonempty probs, with the rows formatted directly: the encoder costs
+    seven times as much on a 1e5-row table.  Floats use repr in both."""
+    head = json.dumps({"meta": meta, "rows": []}, indent=2)
+    body = ",".join([f"\n    [\n      {mp},\n      {value!r}\n    ]"
+                     for mp, value in enumerate(probs.tolist(), start)])
+    return head[: -len("[]\n}")] + "[" + body + "\n  ]\n}\n"
 
 
 def _cmd_dist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -177,7 +182,20 @@ def _figure_table(figure_id: int, n: int, w: float) -> FigureTable:
     return FigureTable(6, header, rows)
 
 
+def _figure_min_n(figure_id: int, w: float) -> int:
+    """Smallest N holding every count of the table with p = w/N <= 1."""
+    if figure_id == 5:
+        return max(_FIGURE_SECTION_MAX, *_FIGURE_RECAPTURE_W)
+    counts = _FIGURE_GRID_MAX if figure_id in (3, 4) else _FIGURE_SECTION_MAX
+    return max(counts, math.ceil(w))
+
+
 def _cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.id != 5 and not (math.isfinite(args.w) and args.w >= 0.0):
+        parser.error(f"--w must be finite and nonnegative, got {args.w!r}")
+    min_n = _figure_min_n(args.id, args.w)
+    if args.n < min_n:
+        parser.error(f"figure {args.id} needs --N >= {min_n}, got {args.n}")
     table = _figure_table(args.id, args.n, args.w)
     _write(table.to_csv(), args.out)
     return 0
@@ -227,6 +245,16 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 1 if failed else 0
 
 
+def _particle_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosecount",
@@ -237,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dist = sub.add_parser("dist", help="compute a transfer distribution")
     dist.add_argument("--model", choices=("classical", "bose"), required=True)
-    dist.add_argument("--N", dest="n", type=int, help="total particle count")
+    dist.add_argument("--N", dest="n", type=_particle_count, help="total particle count")
     dist.add_argument("--m", type=int, default=0,
                       help="initial marked-mode count (default 0)")
     group = dist.add_mutually_exclusive_group(required=True)
@@ -262,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--epsilon", type=float, default=0.0)
     plan.add_argument("--xi", type=float, default=1.0)
     plan.add_argument("--eta", type=float, default=0.0)
-    plan.add_argument("--N", dest="n", type=int, required=True)
+    plan.add_argument("--N", dest="n", type=_particle_count, required=True)
     plan.add_argument("--m", type=int, default=0)
     plan.add_argument("--w", type=float, default=3.0)
     plan.add_argument("--out", help="output path (default stdout)")

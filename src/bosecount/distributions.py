@@ -23,6 +23,7 @@ recapture with probability w**m * exp(-w) / m!.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,6 +73,20 @@ _TAIL_PROB_EPS = 1e-14
 _TAIL_MASS_EPS = 1e-12
 _TAIL_RUN = 3
 
+# Largest rounding bound bose_amplitude_probability may return under.
+_AMPLITUDE_ABS_TOL = 1e-10
+
+
+def _as_count(name: str, value) -> int:
+    """value as a Python int; bools and non-integral numbers are rejected,
+    numpy integers accepted."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class TransferSpec:
@@ -83,6 +98,8 @@ class TransferSpec:
     p: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_count("n", self.n))
+        object.__setattr__(self, "m", _as_count("m", self.m))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not 0 <= self.m <= self.n:
@@ -102,6 +119,7 @@ class RareEventSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.w) and self.w >= 0.0):
             raise ValueError(f"w must be a nonnegative real, got {self.w!r}")
+        object.__setattr__(self, "m", _as_count("m", self.m))
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m!r}")
 
@@ -126,6 +144,8 @@ class OccupancyDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d array")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if probs.min() < 0.0 or probs.max() > 1.0 + 1e-9:
             raise ValueError("probabilities outside [0, 1]")
         probs = np.minimum(probs, 1.0)
@@ -342,10 +362,22 @@ def bose_amplitude_probability(spec: TransferSpec, m_prime: int) -> float:
     Evaluates C(n,m)/C(n,m_prime) times the square of the alternating
     pathway sum in SignedLog arithmetic; this is the reference scalar
     route the vectorized kernel is validated against.
+
+    Raises ArithmeticError when the rounding bound of the result,
+    C(n,m)/C(n,m_prime) * (sum of |terms|)**2 * 4k * 2**-53 over k terms,
+    exceeds 1e-10.  The bound is absolute, not relative, because exact
+    interference nulls (true value 0) are valid results of the sum.
     """
-    n, m, p = spec.n, spec.m, spec.p
-    if not 0 <= m_prime <= n:
+    if not 0 <= m_prime <= spec.n:
         raise ValueError(f"m_prime must lie in 0..n, got {m_prime!r}")
+    return _pathway_sum_probability(spec, m_prime, _AMPLITUDE_ABS_TOL)
+
+
+def _pathway_sum_probability(spec: TransferSpec, m_prime: int,
+                             abs_tol: Optional[float] = None) -> float:
+    """The pathway sum of bose_amplitude_probability; its rounding guard
+    applies only when abs_tol is given."""
+    n, m, p = spec.n, spec.m, spec.p
     if p == 0.0:
         return 1.0 if m_prime == m else 0.0
     if p == 1.0:
@@ -359,11 +391,20 @@ def bose_amplitude_probability(spec: TransferSpec, m_prime: int) -> float:
                + log_binomial(n - m, q + mu).log_magnitude
                + 0.5 * ((q + 2 * mu) * lp + (n - q - 2 * mu) * l1p))
         terms.append(SignedLog(-1 if mu % 2 else 1, mag))
+    pref = (log_binomial(n, m).log_magnitude
+            - log_binomial(n, m_prime).log_magnitude)
+    if abs_tol is not None:
+        log_abs_sum = signed_log_sum(
+            [SignedLog(1, t.log_magnitude) for t in terms]).log_magnitude
+        log_bound = (pref + 2.0 * log_abs_sum + math.log(4.0 * len(terms))
+                     - 53.0 * math.log(2.0))
+        if log_bound > math.log(abs_tol):
+            raise ArithmeticError(
+                f"pathway sum at n={n}, m={m}, m'={m_prime}, p={p!r} cancels "
+                f"beyond double precision (rounding bound {math.exp(log_bound):.3e})")
     s = signed_log_sum(terms)
     if s.sign == 0:
         return 0.0
-    pref = (log_binomial(n, m).log_magnitude
-            - log_binomial(n, m_prime).log_magnitude)
     return math.exp(pref + 2.0 * s.log_magnitude)
 
 

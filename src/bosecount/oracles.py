@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .distributions import OccupancyDistribution, TransferSpec
 from .dynamics import SingleParticleUnitary, TwoLevelParams
@@ -163,7 +162,8 @@ def _number_basis_evolution(n: int, params: TwoLevelParams, t: float,
     diag = params.epsilon * (2.0 * k - n)
     tunnel = math.hypot(params.xi, params.eta)
     off = tunnel * np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
-    eigvals, vecs = eigh_tridiagonal(diag, off)
+    h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    eigvals, vecs = np.linalg.eigh(h)
     weights = vecs[m, :] * np.exp(-1j * eigvals * t)
     return vecs @ weights
 

@@ -105,6 +105,7 @@ def run_verification(max_n: int,
 
     jacobi = _Tracker()
     scalar = _Tracker()
+    scalar_skipped = 0
     for n in range(1, max_n + 1):
         for m in range(n + 1):
             for p in p_grid:
@@ -118,10 +119,18 @@ def run_verification(max_n: int,
                     # for interference-cancelled entries.
                     jac = bose_jacobi_probability(spec, m_prime)
                     jacobi.update(float(abs(jac - ref) / (ref + 0.04)), label)
-                    amp = bose_amplitude_probability(spec, m_prime)
+                    try:
+                        amp = bose_amplitude_probability(spec, m_prime)
+                    except ArithmeticError:
+                        # beyond the sum's resolution (from n = 20 on this grid)
+                        scalar_skipped += 1
+                        continue
                     scalar.update(float(abs(amp - ref) / (ref + 0.04)), label)
     results.append(jacobi.result("bose vs Jacobi closed form", 1e-10))
-    results.append(scalar.result("bose vs scalar pathway sum", 1e-10))
+    scalar_name = "bose vs scalar pathway sum"
+    if scalar_skipped:
+        scalar_name += f" ({scalar_skipped} entries beyond its resolution skipped)"
+    results.append(scalar.result(scalar_name, 1e-10))
 
     unit = _Tracker()
     for p in p_grid:

@@ -1,10 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bosecount.cli import build_plan, main
-from bosecount.distributions import RareEventSpec, TransferSpec, bose_exact, bose_rare_limit
+import bosecount
+from bosecount.cli import _rows_csv, _rows_json, build_plan, main
+from bosecount.distributions import (
+    RareEventSpec,
+    TransferSpec,
+    bose_exact,
+    bose_rare_limit,
+    classical_rare_limit,
+)
 
 
 def run(capsys, *argv):
@@ -111,11 +123,57 @@ class TestDist:
                   "--mmax", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--model", "bose", "--N", "0", "--w", "3"],
+        ["plan", "--N", "0"],
+        ["dist", "--model", "bose", "--N", "abc", "--w", "3"],
+    ])
+    def test_nonpositive_n_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_invalid_range_exits_2(self, capsys):
         code = main(["dist", "--model", "bose", "--N", "10", "--m", "11", "--p", "0.5"])
         assert code == 2
         captured = capsys.readouterr()
         assert "error" in captured.err
+
+
+def reference_rows_csv(start, probs):
+    """Row writer of the first release, one np.float64 at a time."""
+    lines = ["m_prime,probability"]
+    for offset, value in enumerate(probs):
+        lines.append(f"{start + offset},{repr(float(value))}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_rows_json(start, probs, meta):
+    rows = [[start + offset, float(value)] for offset, value in enumerate(probs)]
+    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+
+
+class TestRowWriters:
+    @pytest.mark.parametrize("start, probs", [
+        (0, np.array([0.0, 1.0, 5e-324])),
+        (4, np.array([1.0])),
+        (3, classical_rare_limit(RareEventSpec(3.0, 3)).probs),
+        (0, bose_exact(TransferSpec(100000, 3, 3e-5)).probs),
+    ], ids=["edge-values", "single", "limit-start-3", "n-1e5"])
+    def test_bytes_match_reference_writers(self, start, probs):
+        meta = {"model": "bose-exact", "n": 100000, "m": 3, "p": 3e-5}
+        assert _rows_csv(start, probs) == reference_rows_csv(start, probs)
+        assert _rows_json(start, probs, meta) == reference_rows_json(start, probs, meta)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, bosecount.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(bosecount.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestFigure:
@@ -162,6 +220,17 @@ class TestFigure:
         header, rows = parse_csv(out)
         assert header == ["m", "p_1_from_m", "p_m_from_m"]
         assert len(rows) == 16
+
+    @pytest.mark.parametrize("fig, n, w, min_n", [
+        ("3", "11", "3", 12), ("4", "12", "12.5", 13), ("5", "2", "3", 15),
+        ("6", "14", "3", 15), ("6", "15", "20", 20)])
+    def test_small_n_names_smallest_allowed(self, capsys, fig, n, w, min_n):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--id", fig, "--N", n, "--w", w])
+        assert exc.value.code == 2
+        assert f"--N >= {min_n}," in capsys.readouterr().err
+        code, out, _ = run(capsys, "figure", "--id", fig, "--N", str(min_n), "--w", w)
+        assert code == 0 and out.startswith("m,")
 
     def test_unknown_id_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

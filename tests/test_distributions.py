@@ -12,6 +12,7 @@ from bosecount.distributions import (
     OccupancyDistribution,
     RareEventSpec,
     TransferSpec,
+    _pathway_sum_probability,
     _rare_limit_entry_pathway_sum,
     bose_amplitude_probability,
     bose_exact,
@@ -46,6 +47,20 @@ def jacobi_exact(degree: int, a: int, b: int, x: Fraction) -> Fraction:
     return total
 
 
+def amplitude_rounding_bound(spec: TransferSpec, m_prime: int) -> float:
+    """C(n,m)/C(n,m') * (sum of |pathway terms|)**2 * 4k * 2**-53."""
+    n, m, p = spec.n, spec.m, spec.p
+    q = m_prime - m
+    mus = range(max(0, -q), min(m, n - m - q) + 1)
+    logs = [math.log(math.comb(m, mu) * math.comb(n - m, q + mu))
+            + 0.5 * ((q + 2 * mu) * math.log(p) + (n - q - 2 * mu) * math.log1p(-p))
+            for mu in mus]
+    lead = max(logs)
+    log_abs_sum = lead + math.log(sum(math.exp(x - lead) for x in logs))
+    log_ratio = math.log(math.comb(n, m)) - math.log(math.comb(n, m_prime))
+    return math.exp(log_ratio + 2 * log_abs_sum) * 4 * len(mus) * 2.0 ** -53
+
+
 def laguerre_exact(degree: int, a: int, x: Fraction) -> Fraction:
     return sum(Fraction((-1) ** k * math.comb(degree + a, degree - k),
                         math.factorial(k)) * x ** k
@@ -68,6 +83,25 @@ class TestSpecs:
             RareEventSpec(-0.1, 0)
         with pytest.raises(ValueError):
             RareEventSpec(1.0, -1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: TransferSpec(10.5, 3, 0.1),
+        lambda: TransferSpec(10, True, 0.1),
+        lambda: TransferSpec(True, 0, 0.1),
+        lambda: TransferSpec(10, 3.0, 0.1),
+        lambda: RareEventSpec(3.0, 2.5),
+        lambda: RareEventSpec(3.0, False),
+        lambda: OccupancyDistribution("oracle", 0, [math.nan, 0.5]),
+    ], ids=["n-float", "m-bool", "n-bool", "m-integral-float", "limit-m-float",
+            "limit-m-bool", "nan-prob"])
+    def test_rejects_malformed_inputs(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        spec = TransferSpec(np.int64(10), np.int32(3), 0.1)
+        assert (spec.n, spec.m) == (10, 3) and type(spec.n) is int
+        assert RareEventSpec(3.0, np.int64(2)).m == 2
 
     def test_distribution_support_and_lookup(self):
         d = OccupancyDistribution("oracle", 2, np.array([0.25, 0.75]))
@@ -188,6 +222,33 @@ class TestBoseAmplitude:
         assert bose_amplitude_probability(TransferSpec(4, 1, 0.0), 1) == 1.0
         assert bose_amplitude_probability(TransferSpec(4, 1, 1.0), 3) == 1.0
 
+    def test_raises_where_cancellation_exceeds_double(self):
+        # the unguarded sum returned 11.445 here; the true value is 2.373e-3
+        spec = TransferSpec(10000, 8, 0.3)
+        assert amplitude_rounding_bound(spec, 3000) > 1e10
+        with pytest.raises(ArithmeticError):
+            bose_amplitude_probability(spec, 3000)
+
+    def test_guard_silent_on_verify_grid(self):
+        # run_verification compares this channel over n <= 9, where the
+        # largest C(n,m)/C(n,m') * (sum |terms|)**2 is 31
+        for n in range(1, 10):
+            for m in range(n + 1):
+                for p in P_GRID:
+                    spec = TransferSpec(n, m, p)
+                    for mp in range(n + 1):
+                        assert amplitude_rounding_bound(spec, mp) < 1e-12
+                        bose_amplitude_probability(spec, mp)
+
+    def test_verification_reports_skipped_entries(self):
+        # at n = 20, p = 0.5 the guard fires on 9 entries of the grid;
+        # the check names them instead of dropping them silently
+        from bosecount.verification import run_verification
+        names = [r.name for r in run_verification(20, (0.5,))]
+        assert ("bose vs scalar pathway sum "
+                "(9 entries beyond its resolution skipped)") in names
+        assert "bose vs scalar pathway sum" in [r.name for r in run_verification(9)]
+
 
 class TestBoseExact:
     def test_two_boson_balanced_distribution(self):
@@ -245,7 +306,9 @@ class TestBoseExact:
     def test_matches_scalar_pathway_sum(self):
         # kernel vs the compensated SignedLog sum, everywhere the sum is
         # well conditioned (all N <= 30); tolerance is relative with a
-        # 4e-12 absolute floor for interference-cancelled entries
+        # 4e-12 absolute floor for interference-cancelled entries.  The
+        # public routine must raise where its worst-case rounding bound
+        # exceeds 1e-10 (from N = 21 on), and agree with the sum elsewhere.
         for n in (1, 2, 3, 5, 8, 13, 21, 30):
             for m in range(n + 1):
                 for p in P_GRID:
@@ -253,8 +316,13 @@ class TestBoseExact:
                     probs = bose_exact(spec).probs
                     for mp in range(n + 1):
                         ref = probs[mp]
-                        amp = bose_amplitude_probability(spec, mp)
+                        amp = _pathway_sum_probability(spec, mp)
                         assert abs(amp - ref) <= 1e-10 * ref + 4e-12
+                        if amplitude_rounding_bound(spec, mp) > 1e-10:
+                            with pytest.raises(ArithmeticError):
+                                bose_amplitude_probability(spec, mp)
+                        else:
+                            assert bose_amplitude_probability(spec, mp) == amp
 
     def test_matches_jacobi_closed_form_channel(self):
         for n in (1, 2, 3, 5, 8, 13, 21, 30):
