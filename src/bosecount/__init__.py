@@ -1,19 +1,20 @@
 """Occupation-transfer statistics for N non-interacting two-level
 particles: exact finite-N and rare-event-limit distributions for
 distinguishable particles (Poissonian) and identical bosons
-(interference-modified), with independent oracles and a CLI."""
+(interference-modified), with independent oracles and a CLI.
+
+The package namespace holds the production API; the oracles and
+cross-check channels live in ``bosecount.oracles`` and the log-space
+helpers in ``bosecount.numerics``."""
 
 from .distributions import (
     OccupancyDistribution,
     RareEventSpec,
     TransferSpec,
-    bose_amplitude_probability,
     bose_exact,
-    bose_jacobi_probability,
     bose_rare_limit,
     classical_exact,
     classical_rare_limit,
-    jacobi_polynomial,
     recapture_probability,
     transfer_probabilities,
 )
@@ -27,24 +28,6 @@ from .dynamics import (
     solve_pulse_duration,
     transfer_ceiling,
 )
-from .numerics import (
-    SignedLog,
-    generalized_log_binomial,
-    log_binomial,
-    log_factorial,
-    log_factorial_array,
-    signed_log_sum,
-)
-from .oracles import (
-    EmpiricalDistribution,
-    FockStateVector,
-    SizeLimit,
-    enumerate_bose_first_quantized,
-    enumerate_distinguishable,
-    evolve_fock_state,
-    fock_evolve,
-    mc_sample_classical,
-)
 from .verification import CheckResult, run_verification
 
 __version__ = "0.1.0"
@@ -52,38 +35,21 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "CheckResult",
-    "EmpiricalDistribution",
-    "FockStateVector",
     "NoCoupling",
     "OccupancyDistribution",
     "RareEventSpec",
-    "SignedLog",
     "SingleParticleUnitary",
-    "SizeLimit",
     "TargetUnreachable",
     "TransferSpec",
     "TwoLevelParams",
-    "bose_amplitude_probability",
     "bose_exact",
-    "bose_jacobi_probability",
     "bose_rare_limit",
     "classical_exact",
     "classical_rare_limit",
-    "enumerate_bose_first_quantized",
-    "enumerate_distinguishable",
     "evolve",
-    "evolve_fock_state",
-    "fock_evolve",
-    "generalized_log_binomial",
-    "jacobi_polynomial",
-    "log_binomial",
-    "log_factorial",
-    "log_factorial_array",
-    "mc_sample_classical",
     "rabi_frequency",
     "recapture_probability",
     "run_verification",
-    "signed_log_sum",
     "solve_pulse_duration",
     "transfer_ceiling",
     "transfer_probabilities",

@@ -29,14 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import (
-    SignedLog,
-    generalized_log_binomial,
-    log_binomial,
-    log_factorial,
-    log_factorial_array,
-    signed_log_sum,
-)
+from .numerics import MAX_TABLE_N, log_factorial, log_factorial_array
 
 __all__ = [
     "MODEL_TAGS",
@@ -47,9 +40,6 @@ __all__ = [
     "classical_exact",
     "classical_rare_limit",
     "bose_exact",
-    "bose_amplitude_probability",
-    "bose_jacobi_probability",
-    "jacobi_polynomial",
     "bose_rare_limit",
     "recapture_probability",
 ]
@@ -73,8 +63,10 @@ _TAIL_PROB_EPS = 1e-14
 _TAIL_MASS_EPS = 1e-12
 _TAIL_RUN = 3
 
-# Largest rounding bound bose_amplitude_probability may return under.
-_AMPLITUDE_ABS_TOL = 1e-10
+# Points of the ln z grid searched for the bosonic limit's Chernoff tail
+# bound; any z > 1 gives a valid bound, so the grid only has to be dense
+# enough to land near the minimum.
+_CHERNOFF_GRID = 64
 
 
 def _as_count(name: str, value) -> int:
@@ -91,7 +83,11 @@ def _as_count(name: str, value) -> int:
 @dataclass(frozen=True)
 class TransferSpec:
     """Finite-size problem: n particles, m initially marked, switch
-    probability p."""
+    probability p.
+
+    n is capped at MAX_TABLE_N = 2**22, where the ln k! table every row
+    reads reaches 32 MiB.
+    """
 
     n: int
     m: int
@@ -102,6 +98,8 @@ class TransferSpec:
         object.__setattr__(self, "m", _as_count("m", self.m))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.n > MAX_TABLE_N:
+            raise ValueError(f"n must be at most {MAX_TABLE_N}, got {self.n!r}")
         if not 0 <= self.m <= self.n:
             raise ValueError(f"m must lie in 0..n, got {self.m!r}")
         if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
@@ -111,7 +109,8 @@ class TransferSpec:
 @dataclass(frozen=True)
 class RareEventSpec:
     """Limit problem: mean event number w = n*p at n -> infinity, with m
-    particles initially in the marked mode."""
+    particles initially in the marked mode (at most MAX_TABLE_N, the cap
+    on the ln k! table the bosonic tail bound reads)."""
 
     w: float
     m: int = 0
@@ -120,8 +119,8 @@ class RareEventSpec:
         if not (math.isfinite(self.w) and self.w >= 0.0):
             raise ValueError(f"w must be a nonnegative real, got {self.w!r}")
         object.__setattr__(self, "m", _as_count("m", self.m))
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m!r}")
+        if not 0 <= self.m <= MAX_TABLE_N:
+            raise ValueError(f"m must lie in 0..{MAX_TABLE_N}, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -345,156 +344,14 @@ def classical_exact(spec: TransferSpec) -> OccupancyDistribution:
 def bose_exact(spec: TransferSpec) -> OccupancyDistribution:
     """Exact finite-size distribution for identical bosons.
 
-    Entries equal bose_amplitude_probability but are evaluated through
-    the symmetric-image Jacobi form, which stays accurate where the
-    alternating pathway sum cancels catastrophically; the two routes are
-    cross-checked against each other and against the oracles where the
-    direct sum is well conditioned.
+    Entries equal the alternating pathway sum but are evaluated through
+    the symmetric-image Jacobi form, which stays accurate where that sum
+    cancels catastrophically; bosecount.oracles carries the pathway sum
+    and the untransformed Jacobi form as scalar cross-check channels.
     """
     probs = transfer_probabilities(spec, 0, spec.n, bose=True)
     meta = {"n": spec.n, "m": spec.m, "p": spec.p}
     return OccupancyDistribution("bose-exact", 0, probs, meta)
-
-
-def bose_amplitude_probability(spec: TransferSpec, m_prime: int) -> float:
-    """Single bosonic entry through the scalar compensated pathway sum.
-
-    Evaluates C(n,m)/C(n,m_prime) times the square of the alternating
-    pathway sum in SignedLog arithmetic; this is the reference scalar
-    route the vectorized kernel is validated against.
-
-    Raises ArithmeticError when the rounding bound of the result,
-    C(n,m)/C(n,m_prime) * (sum of |terms|)**2 * 4k * 2**-53 over k terms,
-    exceeds 1e-10.  The bound is absolute, not relative, because exact
-    interference nulls (true value 0) are valid results of the sum.
-    """
-    if not 0 <= m_prime <= spec.n:
-        raise ValueError(f"m_prime must lie in 0..n, got {m_prime!r}")
-    return _pathway_sum_probability(spec, m_prime, _AMPLITUDE_ABS_TOL)
-
-
-def _pathway_sum_probability(spec: TransferSpec, m_prime: int,
-                             abs_tol: Optional[float] = None) -> float:
-    """The pathway sum of bose_amplitude_probability; its rounding guard
-    applies only when abs_tol is given."""
-    n, m, p = spec.n, spec.m, spec.p
-    if p == 0.0:
-        return 1.0 if m_prime == m else 0.0
-    if p == 1.0:
-        return 1.0 if m_prime == n - m else 0.0
-    q = m_prime - m
-    lp = math.log(p)
-    l1p = math.log1p(-p)
-    terms = []
-    for mu in range(max(0, -q), min(m, n - m - q) + 1):
-        mag = (log_binomial(m, mu).log_magnitude
-               + log_binomial(n - m, q + mu).log_magnitude
-               + 0.5 * ((q + 2 * mu) * lp + (n - q - 2 * mu) * l1p))
-        terms.append(SignedLog(-1 if mu % 2 else 1, mag))
-    pref = (log_binomial(n, m).log_magnitude
-            - log_binomial(n, m_prime).log_magnitude)
-    if abs_tol is not None:
-        log_abs_sum = signed_log_sum(
-            [SignedLog(1, t.log_magnitude) for t in terms]).log_magnitude
-        log_bound = (pref + 2.0 * log_abs_sum + math.log(4.0 * len(terms))
-                     - 53.0 * math.log(2.0))
-        if log_bound > math.log(abs_tol):
-            raise ArithmeticError(
-                f"pathway sum at n={n}, m={m}, m'={m_prime}, p={p!r} cancels "
-                f"beyond double precision (rounding bound {math.exp(log_bound):.3e})")
-    s = signed_log_sum(terms)
-    if s.sign == 0:
-        return 0.0
-    return math.exp(pref + 2.0 * s.log_magnitude)
-
-
-def _jacobi_recurrence(degree: int, a: int, b: int, x: float) -> SignedLog:
-    """Three-term degree recurrence with magnitude rescaling.
-
-    Valid for a, b >= 0 where no recurrence coefficient vanishes; the
-    running pair is renormalized whenever it grows past 1e150 so degrees
-    and parameters up to ~1e5 stay inside the double range.
-    """
-    prev = 1.0
-    curr = (a - b) / 2.0 + (a + b + 2.0) * x / 2.0
-    offset = 0.0
-    for k in range(2, degree + 1):
-        ab = a + b
-        c0 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
-        c1 = (2.0 * k + ab - 1.0)
-        c2 = (2.0 * k + ab) * (2.0 * k + ab - 2.0)
-        c3 = float(a * a - b * b)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + ab)
-        nxt = (c1 * (c2 * x + c3) * curr - c4 * prev) / c0
-        prev, curr = curr, nxt
-        scale = max(abs(prev), abs(curr))
-        if scale > 1e150:
-            prev /= scale
-            curr /= scale
-            offset += math.log(scale)
-    if curr == 0.0:
-        return SignedLog.zero()
-    return SignedLog(1 if curr > 0.0 else -1, math.log(abs(curr)) + offset)
-
-
-def _jacobi_finite_sum(degree: int, a: int, b: int, x: float) -> SignedLog:
-    """Terminating hypergeometric sum, valid for any integer parameters.
-
-    Sum over s of C(degree+a, degree-s) C(degree+b, s)
-    ((x-1)/2)**s ((x+1)/2)**(degree-s), with negative-top binomials via
-    their falling-factorial values.
-    """
-    half_minus = SignedLog.from_linear((x - 1.0) / 2.0)
-    half_plus = SignedLog.from_linear((x + 1.0) / 2.0)
-    terms = []
-    for s in range(degree + 1):
-        terms.append(generalized_log_binomial(degree + a, degree - s)
-                     * generalized_log_binomial(degree + b, s)
-                     * half_minus.pow(s)
-                     * half_plus.pow(degree - s))
-    return signed_log_sum(terms)
-
-
-def jacobi_polynomial(degree: int, a: int, b: int, x: float) -> SignedLog:
-    """Jacobi polynomial of integer parameters, as a SignedLog.
-
-    Nonnegative parameters go through the stable degree recurrence;
-    negative integer parameters (where the recurrence assumptions fail)
-    fall back to the terminating finite sum.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        return SignedLog.one()
-    if a >= 0 and b >= 0:
-        return _jacobi_recurrence(degree, a, b, x)
-    return _jacobi_finite_sum(degree, a, b, x)
-
-
-def bose_jacobi_probability(spec: TransferSpec, m_prime: int) -> float:
-    """Bosonic entry through the Jacobi closed form (verification channel).
-
-    m!(n-m)!/(m'!(n-m')!) * p**(m'-m) * (1-p)**(n-m'-m) times the squared
-    Jacobi polynomial of degree m with parameters (n-m'-m, m'-m) at
-    2p - 1.  The (1-p) exponent is n-m'-m: the sign variant n-m'+m
-    breaks single-particle unitarity (n=1, m=m'=1 would give (1-p)**3
-    instead of 1-p) and is pinned against by a regression test.
-    """
-    n, m, p = spec.n, spec.m, spec.p
-    if not 0 <= m_prime <= n:
-        raise ValueError(f"m_prime must lie in 0..n, got {m_prime!r}")
-    if p == 0.0:
-        return 1.0 if m_prime == m else 0.0
-    if p == 1.0:
-        return 1.0 if m_prime == n - m else 0.0
-    q = m_prime - m
-    jac = jacobi_polynomial(m, n - m_prime - m, q, 2.0 * p - 1.0)
-    if jac.sign == 0:
-        return 0.0
-    pref = (log_factorial(m) + log_factorial(n - m)
-            - log_factorial(m_prime) - log_factorial(n - m_prime)
-            + q * math.log(p) + (n - m_prime - m) * math.log1p(-p))
-    return math.exp(pref + 2.0 * jac.log_magnitude)
 
 
 def _poisson_support_cap(w: float) -> int:
@@ -540,10 +397,11 @@ def classical_rare_limit(spec: RareEventSpec) -> OccupancyDistribution:
     return OccupancyDistribution("classical-limit", m, np.array(probs), meta)
 
 
-def _laguerre_log(degree: int, a: int, x: float) -> SignedLog:
-    """Associated Laguerre polynomial by the scaled degree recurrence."""
+def _laguerre_log(degree: int, a: int, x: float) -> tuple[float, float]:
+    """(ln|L|, sign) of the associated Laguerre polynomial by the scaled
+    degree recurrence."""
     if degree == 0:
-        return SignedLog.one()
+        return 0.0, 1.0
     prev = 1.0
     curr = 1.0 + a - x
     offset = 0.0
@@ -556,8 +414,8 @@ def _laguerre_log(degree: int, a: int, x: float) -> SignedLog:
             curr /= scale
             offset += math.log(scale)
     if curr == 0.0:
-        return SignedLog.zero()
-    return SignedLog(1 if curr > 0.0 else -1, math.log(abs(curr)) + offset)
+        return -math.inf, 0.0
+    return math.log(abs(curr)) + offset, math.copysign(1.0, curr)
 
 
 def _rare_limit_entry(w: float, m: int, m_prime: int) -> float:
@@ -567,39 +425,44 @@ def _rare_limit_entry(w: float, m: int, m_prime: int) -> float:
     sqrt(m'! m!) (-w)**mu / (mu! (m-mu)! (q+mu)!).  The sum collapses to
     an associated Laguerre polynomial of the smaller of (m, m'), which
     the recurrence evaluates without the cancellation that caps the
-    literal alternating sum near 1e-11 relative accuracy; the sum form
-    is kept in _rare_limit_entry_pathway_sum as a cross-check.
+    literal alternating sum near 1e-11 relative accuracy.
     """
     q = m_prime - m
     if w == 0.0:
         return 1.0 if q == 0 else 0.0
     low, high = min(m, m_prime), max(m, m_prime)
-    lag = _laguerre_log(low, high - low, w)
-    if lag.sign == 0:
+    lag_log, lag_sign = _laguerre_log(low, high - low, w)
+    if lag_sign == 0.0:
         return 0.0
     return math.exp((high - low) * math.log(w) - w
                     + log_factorial(low) - log_factorial(high)
-                    + 2.0 * lag.log_magnitude)
+                    + 2.0 * lag_log)
 
 
-def _rare_limit_entry_pathway_sum(w: float, m: int, m_prime: int) -> float:
-    """Literal alternating pathway sum in SignedLog space (cross-check
-    channel; accuracy degrades with the cancellation ratio)."""
-    q = m_prime - m
-    if w == 0.0:
-        return 1.0 if q == 0 else 0.0
-    lw = math.log(w)
-    terms = []
-    for mu in range(max(0, -q), m + 1):
-        mag = (0.5 * (log_factorial(m_prime) + log_factorial(m))
-               + mu * lw
-               - log_factorial(mu) - log_factorial(m - mu)
-               - log_factorial(q + mu))
-        terms.append(SignedLog(-1 if mu % 2 else 1, mag))
-    s = signed_log_sum(terms)
-    if s.sign == 0:
-        return 0.0
-    return math.exp(q * lw - w + 2.0 * s.log_magnitude)
+def _rare_limit_tail_bound(w: float, m: int, m_prime_max: int) -> float:
+    """Chernoff bound on the bosonic limit mass beyond m_prime_max; w > 0.
+
+    The generating function sum over m' of P(m') z**m' equals
+    G(z) = z**m exp(w (z-1)) L_m(-x) with x = w (z-1)**2 / z, and
+    L_m(-x) = sum over k of C(m,k) x**k / k! has only positive terms.  So
+    P(m' > M) <= G(z) z**-(M+1) for every z > 1; the smallest value on a
+    geometric grid of ln z is returned, capped at 1.
+    """
+    hi = min(700.0, 1.0 + math.log1p((m_prime_max + 1) / w))
+    log_z = np.geomspace(1e-3, hi, _CHERNOFF_GRID)
+    z_minus_1 = np.expm1(log_z)
+    log_x = math.log(w) + 2.0 * np.log(z_minus_1) - log_z
+    lf = log_factorial_array(m)
+    k = np.arange(m + 1)
+    log_coef = (lf[m] - lf[m - k] - 2.0 * lf[k])[:, None]
+    log_lag = np.empty(_CHERNOFF_GRID)
+    step = max(1, _BLOCK_TERMS // (m + 1))
+    for lo in range(0, _CHERNOFF_GRID, step):
+        terms = log_coef + k[:, None] * log_x[lo: lo + step]
+        top = terms.max(axis=0)
+        log_lag[lo: lo + step] = top + np.log(np.exp(terms - top).sum(axis=0))
+    log_bound = (m - m_prime_max - 1) * log_z + w * z_minus_1 + log_lag
+    return min(1.0, math.exp(float(log_bound.min())))
 
 
 def bose_rare_limit(spec: RareEventSpec,
@@ -608,8 +471,9 @@ def bose_rare_limit(spec: RareEventSpec,
 
     With m_prime_max omitted the support is extended until three
     consecutive probabilities drop below 1e-14 while the Poisson weight
-    left in the w**q exp(-w)/q! prefactor is below 1e-12.  The mass not
-    covered by the support is recorded in meta["tail_bound"].
+    left in the w**q exp(-w)/q! prefactor is below 1e-12.
+    meta["tail_bound"] is an upper bound on the mass beyond the support,
+    from the Chernoff bound of the exact generating function.
     """
     w, m = spec.w, spec.m
     meta = {"w": w, "m": m}
@@ -620,29 +484,26 @@ def bose_rare_limit(spec: RareEventSpec,
         probs = _point_mass(m, 0, hi)
         meta["tail_bound"] = 0.0 if m <= hi else 1.0
         return OccupancyDistribution("bose-limit", 0, probs, meta)
+    auto = m_prime_max is None
+    last = m + _poisson_support_cap(w) if auto else m_prime_max
     probs = []
-    if m_prime_max is not None:
-        for mp in range(m_prime_max + 1):
-            probs.append(_rare_limit_entry(w, m, mp))
+    small_run = 0
+    for mp in range(last + 1):
+        value = _rare_limit_entry(w, m, mp)
+        probs.append(value)
+        if not auto:
+            continue
+        q = mp - m
+        small_run = small_run + 1 if value < _TAIL_PROB_EPS else 0
+        if small_run >= _TAIL_RUN and q + 1 > w:
+            pmf = math.exp(q * math.log(w) - w - log_factorial(q))
+            if _poisson_tail_bound(w, q, pmf) < _TAIL_MASS_EPS:
+                break
     else:
-        small_run = 0
-        mp = 0
-        cap = m + _poisson_support_cap(w)
-        while True:
-            value = _rare_limit_entry(w, m, mp)
-            probs.append(value)
-            q = mp - m
-            small_run = small_run + 1 if value < _TAIL_PROB_EPS else 0
-            if small_run >= _TAIL_RUN and q + 1 > w:
-                pmf = math.exp(q * math.log(w) - w - log_factorial(q))
-                if _poisson_tail_bound(w, q, pmf) < _TAIL_MASS_EPS:
-                    break
-            mp += 1
-            if mp > cap:
-                raise RuntimeError("limit truncation failed to converge")
-    arr = np.array(probs)
-    meta["tail_bound"] = max(0.0, 1.0 - float(arr.sum()))
-    return OccupancyDistribution("bose-limit", 0, arr, meta)
+        if auto:
+            raise RuntimeError("limit truncation failed to converge")
+    meta["tail_bound"] = _rare_limit_tail_bound(w, m, len(probs) - 1)
+    return OccupancyDistribution("bose-limit", 0, np.array(probs), meta)
 
 
 def recapture_probability(spec: RareEventSpec) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "CANCELLATION_EPS",
+    "MAX_TABLE_N",
     "SignedLog",
     "log_factorial",
     "log_factorial_array",
@@ -33,7 +34,8 @@ __all__ = [
 CANCELLATION_EPS = 1e-15
 
 _TABLE_SIZE = 21  # ln(n!) from exact integer factorials through 20!
-_MAX_CACHED_N = 1 << 22
+# Largest n whose ln(n!) log_factorial reads from the table (32 MiB).
+MAX_TABLE_N = 1 << 22
 _EXACT_COMB_LIMIT = 512  # binomials with a side this small use exact integers
 
 
@@ -136,7 +138,7 @@ def log_factorial(n: int) -> float:
         raise ValueError("n must be nonnegative")
     if n < _TABLE_SIZE:
         return _LOG_FACTORIAL_TABLE[n]
-    if n > _MAX_CACHED_N:
+    if n > MAX_TABLE_N:
         return math.lgamma(n + 1.0)
     return float(log_factorial_array(n)[n])
 

@@ -6,6 +6,12 @@ the explicitly symmetrized state in the full 2**n product space
 (bosonic, first quantized), and eigen-decomposition of the (n+1)x(n+1)
 two-mode number-basis Hamiltonian (bosonic, second quantized).  A
 seeded Monte Carlo sampler covers the classical model statistically.
+
+Two scalar cross-check channels evaluate single bosonic entries by
+other formulas than the production kernel: the alternating pathway sum
+(bose_amplitude_probability) and the Jacobi closed form on the
+untransformed (m, m') pair (bose_jacobi_probability), both in SignedLog
+arithmetic.
 """
 
 from __future__ import annotations
@@ -13,21 +19,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
 from .distributions import OccupancyDistribution, TransferSpec
 from .dynamics import SingleParticleUnitary, TwoLevelParams
+from .numerics import (
+    SignedLog,
+    generalized_log_binomial,
+    log_binomial,
+    log_factorial,
+    signed_log_sum,
+)
 
 __all__ = [
     "SizeLimit",
-    "FockStateVector",
     "EmpiricalDistribution",
     "enumerate_distinguishable",
     "enumerate_bose_first_quantized",
-    "evolve_fock_state",
     "fock_evolve",
     "mc_sample_classical",
+    "bose_amplitude_probability",
+    "bose_jacobi_probability",
+    "jacobi_polynomial",
 ]
 
 _ENUM_CLASSICAL_MAX = 20
@@ -37,31 +52,16 @@ _MC_CHUNK = 1 << 16
 
 _RNG_TAG = f"numpy.random.Generator(PCG64), numpy {np.__version__}"
 
+# Largest deviation of the evolved number-basis norm from 1 (measured
+# at most 1.7e-15 for n <= 500).
+_FOCK_NORM_TOL = 1e-12
+
+# Largest rounding bound bose_amplitude_probability may return under.
+_AMPLITUDE_ABS_TOL = 1e-10
+
 
 class SizeLimit(ValueError):
     """Problem size exceeds what the oracle is allowed to brute-force."""
-
-
-@dataclass(frozen=True)
-class FockStateVector:
-    """Two-mode number-basis state: amplitude per count k = 0..n of
-    particles in the marked mode."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} amplitudes, got {amps.shape}")
-        norm = float((np.abs(amps) ** 2).sum())
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state is not normalized (sum {norm!r})")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def occupancy_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -168,16 +168,6 @@ def _number_basis_evolution(n: int, params: TwoLevelParams, t: float,
     return vecs @ weights
 
 
-def evolve_fock_state(n: int, params: TwoLevelParams, t: float,
-                      m: int) -> FockStateVector:
-    """Evolved number-basis state as a validated FockStateVector."""
-    if n > _FOCK_MAX:
-        raise SizeLimit(f"n={n} exceeds the eigen-solve cap {_FOCK_MAX}")
-    if not 0 <= m <= n:
-        raise ValueError(f"m must lie in 0..n, got {m!r}")
-    return FockStateVector(n, _number_basis_evolution(n, params, t, m))
-
-
 def fock_evolve(n: int, params: TwoLevelParams, t: float,
                 m: int) -> OccupancyDistribution:
     """Bosonic distribution from second-quantized number-basis evolution."""
@@ -188,7 +178,7 @@ def fock_evolve(n: int, params: TwoLevelParams, t: float,
     amps = _number_basis_evolution(n, params, t, m)
     probs = np.abs(amps) ** 2
     norm = float(probs.sum())
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > _FOCK_NORM_TOL:
         raise ArithmeticError(f"evolved norm deviates from 1 by {abs(norm - 1.0):.3e}")
     meta = {"n": n, "m": m, "t": t,
             "epsilon": params.epsilon, "xi": params.xi, "eta": params.eta,
@@ -219,3 +209,144 @@ def mc_sample_classical(spec: TransferSpec, trials: int,
         counts += np.bincount(m_final, minlength=n + 1)
         remaining -= batch
     return EmpiricalDistribution(counts, trials, seed)
+
+
+def bose_amplitude_probability(spec: TransferSpec, m_prime: int) -> float:
+    """Single bosonic entry through the scalar compensated pathway sum.
+
+    Evaluates C(n,m)/C(n,m_prime) times the square of the alternating
+    pathway sum in SignedLog arithmetic; this is the reference scalar
+    route the vectorized kernel is validated against.
+
+    Raises ArithmeticError when the rounding bound of the result,
+    C(n,m)/C(n,m_prime) * (sum of |terms|)**2 * 4k * 2**-53 over k terms,
+    exceeds 1e-10.  The bound is absolute, not relative, because exact
+    interference nulls (true value 0) are valid results of the sum.
+    """
+    if not 0 <= m_prime <= spec.n:
+        raise ValueError(f"m_prime must lie in 0..n, got {m_prime!r}")
+    return _pathway_sum_probability(spec, m_prime, _AMPLITUDE_ABS_TOL)
+
+
+def _pathway_sum_probability(spec: TransferSpec, m_prime: int,
+                             abs_tol: Optional[float] = None) -> float:
+    """The pathway sum of bose_amplitude_probability; its rounding guard
+    applies only when abs_tol is given."""
+    n, m, p = spec.n, spec.m, spec.p
+    if p == 0.0:
+        return 1.0 if m_prime == m else 0.0
+    if p == 1.0:
+        return 1.0 if m_prime == n - m else 0.0
+    q = m_prime - m
+    lp = math.log(p)
+    l1p = math.log1p(-p)
+    terms = []
+    for mu in range(max(0, -q), min(m, n - m - q) + 1):
+        mag = (log_binomial(m, mu).log_magnitude
+               + log_binomial(n - m, q + mu).log_magnitude
+               + 0.5 * ((q + 2 * mu) * lp + (n - q - 2 * mu) * l1p))
+        terms.append(SignedLog(-1 if mu % 2 else 1, mag))
+    pref = (log_binomial(n, m).log_magnitude
+            - log_binomial(n, m_prime).log_magnitude)
+    if abs_tol is not None:
+        log_abs_sum = signed_log_sum(
+            [SignedLog(1, t.log_magnitude) for t in terms]).log_magnitude
+        log_bound = (pref + 2.0 * log_abs_sum + math.log(4.0 * len(terms))
+                     - 53.0 * math.log(2.0))
+        if log_bound > math.log(abs_tol):
+            raise ArithmeticError(
+                f"pathway sum at n={n}, m={m}, m'={m_prime}, p={p!r} cancels "
+                f"beyond double precision (rounding bound {math.exp(log_bound):.3e})")
+    s = signed_log_sum(terms)
+    if s.sign == 0:
+        return 0.0
+    return math.exp(pref + 2.0 * s.log_magnitude)
+
+
+def _jacobi_recurrence(degree: int, a: int, b: int, x: float) -> SignedLog:
+    """Three-term degree recurrence with magnitude rescaling.
+
+    Valid for a, b >= 0 where no recurrence coefficient vanishes; the
+    running pair is renormalized whenever it grows past 1e150 so degrees
+    and parameters up to ~1e5 stay inside the double range.
+    """
+    prev = 1.0
+    curr = (a - b) / 2.0 + (a + b + 2.0) * x / 2.0
+    offset = 0.0
+    for k in range(2, degree + 1):
+        ab = a + b
+        c0 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
+        c1 = (2.0 * k + ab - 1.0)
+        c2 = (2.0 * k + ab) * (2.0 * k + ab - 2.0)
+        c3 = float(a * a - b * b)
+        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + ab)
+        nxt = (c1 * (c2 * x + c3) * curr - c4 * prev) / c0
+        prev, curr = curr, nxt
+        scale = max(abs(prev), abs(curr))
+        if scale > 1e150:
+            prev /= scale
+            curr /= scale
+            offset += math.log(scale)
+    if curr == 0.0:
+        return SignedLog.zero()
+    return SignedLog(1 if curr > 0.0 else -1, math.log(abs(curr)) + offset)
+
+
+def _jacobi_finite_sum(degree: int, a: int, b: int, x: float) -> SignedLog:
+    """Terminating hypergeometric sum, valid for any integer parameters.
+
+    Sum over s of C(degree+a, degree-s) C(degree+b, s)
+    ((x-1)/2)**s ((x+1)/2)**(degree-s), with negative-top binomials via
+    their falling-factorial values.
+    """
+    half_minus = SignedLog.from_linear((x - 1.0) / 2.0)
+    half_plus = SignedLog.from_linear((x + 1.0) / 2.0)
+    terms = []
+    for s in range(degree + 1):
+        terms.append(generalized_log_binomial(degree + a, degree - s)
+                     * generalized_log_binomial(degree + b, s)
+                     * half_minus.pow(s)
+                     * half_plus.pow(degree - s))
+    return signed_log_sum(terms)
+
+
+def jacobi_polynomial(degree: int, a: int, b: int, x: float) -> SignedLog:
+    """Jacobi polynomial of integer parameters, as a SignedLog.
+
+    Nonnegative parameters go through the stable degree recurrence;
+    negative integer parameters (where the recurrence assumptions fail)
+    fall back to the terminating finite sum.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree == 0:
+        return SignedLog.one()
+    if a >= 0 and b >= 0:
+        return _jacobi_recurrence(degree, a, b, x)
+    return _jacobi_finite_sum(degree, a, b, x)
+
+
+def bose_jacobi_probability(spec: TransferSpec, m_prime: int) -> float:
+    """Bosonic entry through the Jacobi closed form (verification channel).
+
+    m!(n-m)!/(m'!(n-m')!) * p**(m'-m) * (1-p)**(n-m'-m) times the squared
+    Jacobi polynomial of degree m with parameters (n-m'-m, m'-m) at
+    2p - 1.  The (1-p) exponent is n-m'-m: the sign variant n-m'+m
+    breaks single-particle unitarity (n=1, m=m'=1 would give (1-p)**3
+    instead of 1-p) and is pinned against by a regression test.
+    """
+    n, m, p = spec.n, spec.m, spec.p
+    if not 0 <= m_prime <= n:
+        raise ValueError(f"m_prime must lie in 0..n, got {m_prime!r}")
+    if p == 0.0:
+        return 1.0 if m_prime == m else 0.0
+    if p == 1.0:
+        return 1.0 if m_prime == n - m else 0.0
+    q = m_prime - m
+    jac = jacobi_polynomial(m, n - m_prime - m, q, 2.0 * p - 1.0)
+    if jac.sign == 0:
+        return 0.0
+    pref = (log_factorial(m) + log_factorial(n - m)
+            - log_factorial(m_prime) - log_factorial(n - m_prime)
+            + q * math.log(p) + (n - m_prime - m) * math.log1p(-p))
+    return math.exp(pref + 2.0 * jac.log_magnitude)

@@ -12,15 +12,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (
-    TransferSpec,
-    bose_amplitude_probability,
-    bose_exact,
-    bose_jacobi_probability,
-    classical_exact,
-)
+from .distributions import TransferSpec, bose_exact, classical_exact
 from .dynamics import TwoLevelParams, evolve, solve_pulse_duration
 from .oracles import (
+    bose_amplitude_probability,
+    bose_jacobi_probability,
     enumerate_bose_first_quantized,
     enumerate_distinguishable,
     fock_evolve,
@@ -29,6 +25,10 @@ from .oracles import (
 __all__ = ["CheckResult", "DEFAULT_P_GRID", "run_verification"]
 
 DEFAULT_P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# Largest max_n accepted: the grid costs O(max_n**4) scalar channel
+# calls, about 12 s at 30.
+_MAX_VERIFY_N = 30
 
 # Detuned, complex-tunnelling parameter set whose transfer ceiling still
 # clears the top of DEFAULT_P_GRID (p_max ~ 0.969).
@@ -71,7 +71,12 @@ def _unitary_for(params: TwoLevelParams, p: float):
 
 def run_verification(max_n: int,
                      p_grid: Sequence[float] = DEFAULT_P_GRID) -> list["CheckResult"]:
-    """Run every cross-check up to max_n particles; empty list if max_n < 1."""
+    """Run every cross-check up to max_n particles; empty list if max_n < 1.
+
+    Raises ValueError for max_n above 30.
+    """
+    if max_n > _MAX_VERIFY_N:
+        raise ValueError(f"max_n must be at most {_MAX_VERIFY_N}, got {max_n!r}")
     if max_n < 1:
         return []
     results: list[CheckResult] = []
@@ -89,6 +94,7 @@ def run_verification(max_n: int,
 
     bose_fq = _Tracker()
     bose_fock = _Tracker()
+    fq_fock = _Tracker()
     for n in range(1, min(max_n, 10) + 1):
         for m in range(n + 1):
             for p in p_grid:
@@ -100,8 +106,11 @@ def run_verification(max_n: int,
                 label = f"(n={n}, m={m}, p={p})"
                 bose_fq.update(float(np.abs(exact - fq).max()), label)
                 bose_fock.update(float(np.abs(exact - fock).max()), label)
+                fq_fock.update(float(np.abs(fq - fock).max()), label)
     results.append(bose_fq.result("bose vs first-quantized enumeration", 1e-10))
     results.append(bose_fock.result("bose vs number-basis evolution", 1e-10))
+    results.append(fq_fock.result(
+        "bose first-quantized vs number-basis evolution", 1e-10))
 
     jacobi = _Tracker()
     scalar = _Tracker()

@@ -18,15 +18,15 @@ from bosecount.distributions import (
     bose_exact,
     bose_rare_limit,
     classical_exact,
-    jacobi_polynomial,
 )
 from bosecount.dynamics import TwoLevelParams, evolve, solve_pulse_duration
 from bosecount.oracles import (
     enumerate_bose_first_quantized,
-    enumerate_distinguishable,
     fock_evolve,
+    jacobi_polynomial,
     mc_sample_classical,
 )
+from bosecount.verification import run_verification
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 HEADLINE = TransferSpec(100000, 3, 3e-5)
@@ -78,29 +78,22 @@ def test_criterion_3_two_boson_interference_null():
 
 
 def test_criterion_4_oracle_equivalence_small_scale():
-    params = TwoLevelParams(0.2, 1.0, 0.5)
+    # run_verification's N <= 8 grid: classical vs 2**N enumeration, and
+    # the bose closed form, first-quantized enumeration and number-basis
+    # evolution pairwise, on the detuned complex-tunnelling pulse
     start = time.perf_counter()
-    worst_bose = 0.0
-    worst_classical = 0.0
-    cases = 0
-    for n in range(1, 9):
-        for m in range(n + 1):
-            for p in P_GRID:
-                u, tau = unitary_with_p(params, p)
-                first = enumerate_bose_first_quantized(n, m, u).probs
-                second = fock_evolve(n, params, tau, m).probs
-                closed = bose_exact(TransferSpec(n, m, u.p)).probs
-                worst_bose = max(worst_bose,
-                                 float(np.abs(first - second).max()),
-                                 float(np.abs(first - closed).max()),
-                                 float(np.abs(second - closed).max()))
-                spec = TransferSpec(n, m, p)
-                brute = enumerate_distinguishable(spec).probs
-                exact = classical_exact(spec).probs
-                worst_classical = max(worst_classical,
-                                      float(np.abs(brute - exact).max()))
-                cases += 1
+    checks = {r.name: r for r in run_verification(8)}
     elapsed = time.perf_counter() - start
+    three_way = [checks[name] for name in (
+        "bose vs first-quantized enumeration",
+        "bose vs number-basis evolution",
+        "bose first-quantized vs number-basis evolution")]
+    classical = checks["classical vs 2**n enumeration"]
+    worst_bose = max(r.max_deviation for r in three_way)
+    worst_classical = classical.max_deviation
+    cases = classical.cases
+    assert all(r.cases == cases for r in three_way)
+    assert all(r.passed for r in checks.values())
     assert worst_bose <= 1e-10
     assert worst_classical <= 1e-12
     assert elapsed < 30.0

@@ -140,6 +140,23 @@ class TestDist:
         captured = capsys.readouterr()
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--model", "bose", "--N", "4194305", "--m", "3", "--w", "3"],
+        ["dist", "--model", "classical", "--N", "4194305", "--p", "0.1"],
+        ["figure", "--id", "4", "--N", "4194305"],
+        ["plan", "--N", "4194305", "--m", "3"],
+    ], ids=["dist-bose", "dist-classical", "figure", "plan"])
+    def test_n_above_table_cap_exits_2_before_any_table(self, capsys, monkeypatch, argv):
+        from bosecount import distributions
+
+        def no_table(n_max):
+            raise AssertionError(f"log-factorial table of size {n_max} requested")
+
+        monkeypatch.setattr(distributions, "log_factorial_array", no_table)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "4194304" in err
+
 
 def reference_rows_csv(start, probs):
     """Row writer of the first release, one np.float64 at a time."""
@@ -287,6 +304,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-N", "0")
         assert code == 0
         assert "0 checks" in out
+
+    def test_max_n_above_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-N", "31")
+        assert code == 2 and out == ""
+        assert "at most 30" in err
 
     def test_failure_reports_worst_case_and_exits_1(self, capsys, monkeypatch):
         from bosecount import cli

@@ -12,17 +12,19 @@ from bosecount.distributions import (
     OccupancyDistribution,
     RareEventSpec,
     TransferSpec,
-    _pathway_sum_probability,
-    _rare_limit_entry_pathway_sum,
-    bose_amplitude_probability,
     bose_exact,
-    bose_jacobi_probability,
     bose_rare_limit,
     classical_exact,
     classical_rare_limit,
-    jacobi_polynomial,
     recapture_probability,
     transfer_probabilities,
+)
+from bosecount.numerics import SignedLog, log_factorial, signed_log_sum
+from bosecount.oracles import (
+    _pathway_sum_probability,
+    bose_amplitude_probability,
+    bose_jacobi_probability,
+    jacobi_polynomial,
 )
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -61,6 +63,26 @@ def amplitude_rounding_bound(spec: TransferSpec, m_prime: int) -> float:
     return math.exp(log_ratio + 2 * log_abs_sum) * 4 * len(mus) * 2.0 ** -53
 
 
+def rare_limit_entry_pathway_sum(w: float, m: int, m_prime: int) -> float:
+    """Literal alternating pathway sum of one bosonic limit entry, in
+    SignedLog space; accuracy degrades with the cancellation ratio."""
+    q = m_prime - m
+    if w == 0.0:
+        return 1.0 if q == 0 else 0.0
+    lw = math.log(w)
+    terms = []
+    for mu in range(max(0, -q), m + 1):
+        mag = (0.5 * (log_factorial(m_prime) + log_factorial(m))
+               + mu * lw
+               - log_factorial(mu) - log_factorial(m - mu)
+               - log_factorial(q + mu))
+        terms.append(SignedLog(-1 if mu % 2 else 1, mag))
+    s = signed_log_sum(terms)
+    if s.sign == 0:
+        return 0.0
+    return math.exp(q * lw - w + 2.0 * s.log_magnitude)
+
+
 def laguerre_exact(degree: int, a: int, x: Fraction) -> Fraction:
     return sum(Fraction((-1) ** k * math.comb(degree + a, degree - k),
                         math.factorial(k)) * x ** k
@@ -92,8 +114,10 @@ class TestSpecs:
         lambda: RareEventSpec(3.0, 2.5),
         lambda: RareEventSpec(3.0, False),
         lambda: OccupancyDistribution("oracle", 0, [math.nan, 0.5]),
+        lambda: TransferSpec(2 ** 22 + 1, 0, 0.1),
+        lambda: RareEventSpec(3.0, 2 ** 22 + 1),
     ], ids=["n-float", "m-bool", "n-bool", "m-integral-float", "limit-m-float",
-            "limit-m-bool", "nan-prob"])
+            "limit-m-bool", "nan-prob", "n-above-table", "limit-m-above-table"])
     def test_rejects_malformed_inputs(self, make):
         with pytest.raises(ValueError):
             make()
@@ -432,6 +456,22 @@ class TestBoseRareLimit:
                 assert abs(d.total() - 1.0) < 1e-10
                 assert d.meta["tail_bound"] < 1e-10
 
+    @pytest.mark.parametrize("w, m, m_prime_max", [
+        (0.5, 0, None), (3.0, 3, None), (5.0, 30, None), (20.0, 300, None),
+        (0.5, 100, None), (3.0, 3, 5), (3.0, 3, 12), (3.0, 3, 20),
+        (5.0, 30, 45), (0.5, 0, 0), (20.0, 3, 40)])
+    def test_tail_bound_covers_the_tail(self, w, m, m_prime_max):
+        # Chernoff bound from the generating function, against the mass of
+        # the next 400 entries; automatic truncation leaves under 1e-10
+        spec = RareEventSpec(w, m)
+        d = bose_rare_limit(spec, m_prime_max)
+        top = len(d.probs) - 1
+        beyond = bose_rare_limit(spec, top + 400).probs[top + 1:]
+        bound = d.meta["tail_bound"]
+        assert float(beyond.sum()) <= bound <= 1.0
+        if m_prime_max is None:
+            assert bound < 1e-10
+
     def test_structured_zero_for_single_marked(self):
         # with one marked particle the final count m + 2 is forbidden at
         # w = q + 1: for w = 3 the entry m' = 3 vanishes
@@ -471,7 +511,7 @@ class TestBoseRareLimit:
                 d = bose_rare_limit(RareEventSpec(w, m), 12)
                 for mp in range(13):
                     ref = d.probs[mp]
-                    alt = _rare_limit_entry_pathway_sum(w, m, mp)
+                    alt = rare_limit_entry_pathway_sum(w, m, mp)
                     assert abs(alt - ref) <= 1e-9 * ref + 1e-10
 
     def test_matches_finite_n_at_large_n(self):
