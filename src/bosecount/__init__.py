@@ -3,9 +3,10 @@ particles: exact finite-N and rare-event-limit distributions for
 distinguishable particles (Poissonian) and identical bosons
 (interference-modified), with independent oracles and a CLI.
 
-The package namespace holds the production API; the oracles and
-cross-check channels live in ``bosecount.oracles`` and the log-space
-helpers in ``bosecount.numerics``."""
+The package namespace holds the production API; the oracles, the
+cross-check channels and their (sign, log) arithmetic live in
+``bosecount.oracles``, the ln k! helpers in ``bosecount.numerics`` and
+the figure tables beside the kernels in ``bosecount.distributions``."""
 
 from .distributions import (
     OccupancyDistribution,

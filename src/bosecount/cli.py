@@ -24,8 +24,8 @@ from .distributions import (
     bose_rare_limit,
     classical_exact,
     classical_rare_limit,
-    recapture_probability,
-    transfer_probabilities,
+    figure_min_n,
+    figure_table,
 )
 from .dynamics import (
     NoCoupling,
@@ -36,26 +36,7 @@ from .dynamics import (
 )
 from .verification import run_verification
 
-__all__ = ["FigureTable", "PlanReport", "main"]
-
-_FIGURE_GRID_MAX = 12   # m, m' range of the surface tables
-_FIGURE_SECTION_MAX = 15  # m range of the section tables
-_FIGURE_RECAPTURE_W = (1, 3, 5)  # w values of the recapture table
-
-
-@dataclass(frozen=True)
-class FigureTable:
-    """One emitted table: figure id, column headers, numeric rows."""
-
-    figure_id: int
-    header: list[str]
-    rows: list[list[float]]
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+__all__ = ["PlanReport", "main"]
 
 
 @dataclass(frozen=True)
@@ -146,58 +127,15 @@ def _cmd_dist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _figure_table(figure_id: int, n: int, w: float) -> FigureTable:
-    p = w / n
-    if figure_id in (3, 4):
-        bose = figure_id == 4
-        header = ["m", "m_prime", "probability"]
-        rows = []
-        for m in range(_FIGURE_GRID_MAX + 1):
-            values = transfer_probabilities(TransferSpec(n, m, p), 0,
-                                            _FIGURE_GRID_MAX, bose=bose)
-            for m_prime, value in enumerate(values):
-                rows.append([m, m_prime, float(value)])
-        return FigureTable(figure_id, header, rows)
-    if figure_id == 5:
-        header = ["m"]
-        for w_col in _FIGURE_RECAPTURE_W:
-            header += [f"p0m_exact_w{w_col}", f"p0m_poisson_w{w_col}"]
-        rows = []
-        for m in range(_FIGURE_SECTION_MAX + 1):
-            row: list[float] = [m]
-            for w_col in _FIGURE_RECAPTURE_W:
-                spec = TransferSpec(n, m, w_col / n)
-                exact = float(transfer_probabilities(spec, 0, 0, bose=True)[0])
-                poisson = recapture_probability(RareEventSpec(float(w_col), m))
-                row += [exact, poisson]
-            rows.append(row)
-        return FigureTable(5, header, rows)
-    header = ["m", "p_1_from_m", "p_m_from_m"]
-    rows = []
-    for m in range(_FIGURE_SECTION_MAX + 1):
-        spec = TransferSpec(n, m, p)
-        into_one = float(transfer_probabilities(spec, 1, 1, bose=True)[0])
-        unchanged = float(transfer_probabilities(spec, m, m, bose=True)[0])
-        rows.append([m, into_one, unchanged])
-    return FigureTable(6, header, rows)
-
-
-def _figure_min_n(figure_id: int, w: float) -> int:
-    """Smallest N holding every count of the table with p = w/N <= 1."""
-    if figure_id == 5:
-        return max(_FIGURE_SECTION_MAX, *_FIGURE_RECAPTURE_W)
-    counts = _FIGURE_GRID_MAX if figure_id in (3, 4) else _FIGURE_SECTION_MAX
-    return max(counts, math.ceil(w))
-
-
 def _cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.id != 5 and not (math.isfinite(args.w) and args.w >= 0.0):
         parser.error(f"--w must be finite and nonnegative, got {args.w!r}")
-    min_n = _figure_min_n(args.id, args.w)
+    min_n = figure_min_n(args.id, args.w)
     if args.n < min_n:
         parser.error(f"figure {args.id} needs --N >= {min_n}, got {args.n}")
-    table = _figure_table(args.id, args.n, args.w)
-    _write(table.to_csv(), args.out)
+    header, rows = figure_table(args.id, args.n, args.w)
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -17,7 +17,8 @@ In the rare-event regime (N -> infinity at fixed w = N*p) the classical
 model becomes the Poisson law in q >= 0 while the bosonic pathway sum
 keeps every mu alive, producing a structured distribution with finite
 probability for net transfer *out of* the sparse mode, down to full
-recapture with probability w**m * exp(-w) / m!.
+recapture with probability w**m * exp(-w) / m!.  The tables behind the
+reference figures are built here too, from the same kernels.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
     "bose_exact",
     "bose_rare_limit",
     "recapture_probability",
+    "figure_min_n",
+    "figure_table",
 ]
 
 MODEL_TAGS = frozenset({
@@ -109,15 +112,19 @@ class TransferSpec:
 @dataclass(frozen=True)
 class RareEventSpec:
     """Limit problem: mean event number w = n*p at n -> infinity, with m
-    particles initially in the marked mode (at most MAX_TABLE_N, the cap
-    on the ln k! table the bosonic tail bound reads)."""
+    particles initially in the marked mode.
+
+    m is capped at MAX_TABLE_N, the cap on the ln k! table the bosonic
+    tail bound reads, and so is w, which sets the length of the limit
+    supports.
+    """
 
     w: float
     m: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.w) and self.w >= 0.0):
-            raise ValueError(f"w must be a nonnegative real, got {self.w!r}")
+        if not (math.isfinite(self.w) and 0.0 <= self.w <= MAX_TABLE_N):
+            raise ValueError(f"w must lie in [0, {MAX_TABLE_N}], got {self.w!r}")
         object.__setattr__(self, "m", _as_count("m", self.m))
         if not 0 <= self.m <= MAX_TABLE_N:
             raise ValueError(f"m must lie in 0..{MAX_TABLE_N}, got {self.m!r}")
@@ -215,33 +222,27 @@ def _classical_log_sums(n: int, m: int, p: float,
     return out
 
 
-def _jacobi_log_grid(deg: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(ln|P|, sign) of Jacobi polynomials with per-column degree and
-    nonnegative integer parameters, at a shared argument.
+def _scaled_recurrence(deg: np.ndarray, first: np.ndarray,
+                       coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column degree member of a three-term recurrence, as (value,
+    offset) with the member equal to value * exp(offset).
 
-    Runs the three-term degree recurrence over all columns at once,
-    harvesting each column when its degree is reached; the running pair
-    is rescaled out of the 1e150 range into a log offset.
+    The recurrence starts from 1 at degree 0 and ``first`` at degree 1;
+    ``coeffs(k)`` gives the (A, B, C) of degree k >= 2, scalars or
+    per-column arrays, in nxt = (A*curr - B*prev)/C.  All columns step
+    together and each is harvested when its degree is reached; the
+    running pair is rescaled out of the 1e150 range into the offset.
     """
-    af = a.astype(np.float64)
-    bf = b.astype(np.float64)
     prev = np.ones(deg.size)
-    curr = (af - bf) / 2.0 + (af + bf + 2.0) * (x / 2.0)
+    curr = first
     offset = np.zeros(deg.size)
     out_val = np.where(deg == 0, 1.0, 0.0)
     out_off = np.zeros(deg.size)
     take = deg == 1
     out_val[take] = curr[take]
-    ab = af + bf
-    c3 = af * af - bf * bf
     for k in range(2, int(deg.max(initial=0)) + 1):
-        t = 2.0 * k + ab
-        c0 = 2.0 * k * (k + ab) * (t - 2.0)
-        c1 = t - 1.0
-        c2 = t * (t - 2.0)
-        c4 = 2.0 * (k + af - 1.0) * (k + bf - 1.0) * t
-        nxt = (c1 * (c2 * x + c3) * curr - c4 * prev) / c0
+        a, b, c = coeffs(k)
+        nxt = (a * curr - b * prev) / c
         prev = curr
         curr = nxt
         mag = np.maximum(np.abs(prev), np.abs(curr))
@@ -255,10 +256,7 @@ def _jacobi_log_grid(deg: np.ndarray, a: np.ndarray, b: np.ndarray,
         if take.any():
             out_val[take] = curr[take]
             out_off[take] = offset[take]
-    sign = np.sign(out_val)
-    with np.errstate(divide="ignore"):
-        out_log = np.log(np.abs(out_val)) + out_off
-    return out_log, sign
+    return out_val, out_off
 
 
 def _bose_log_range(n: int, m: int, p: float,
@@ -294,13 +292,26 @@ def _bose_log_range(n: int, m: int, p: float,
     cols = np.arange(mp.size)
     i = cand_i[sel, cols]
     f = cand_f[sel, cols]
-    a = n - f - i
-    b = f - i
-    jac_log, jac_sign = _jacobi_log_grid(i, a, b, 2.0 * p - 1.0)
+    # Jacobi P_i^(a, b)(x) with a = n - f - i, b = f - i
+    a = (n - f - i).astype(np.float64)
+    b = (f - i).astype(np.float64)
+    x = 2.0 * p - 1.0
+    ab = a + b
+    c3 = a * a - b * b
+
+    def coeffs(k):
+        t = 2.0 * k + ab
+        return ((t - 1.0) * (t * (t - 2.0) * x + c3),
+                2.0 * (k + a - 1.0) * (k + b - 1.0) * t,
+                2.0 * k * (k + ab) * (t - 2.0))
+
+    jac, jac_off = _scaled_recurrence(
+        i, (a - b) / 2.0 + (ab + 2.0) * (x / 2.0), coeffs)
+    with np.errstate(divide="ignore"):
+        jac_log = np.log(np.abs(jac)) + jac_off
     logp = (lf[i] + lf[n - i] - lf[f] - lf[n - f]
-            + b.astype(np.float64) * lp + a.astype(np.float64) * l1p
-            + 2.0 * jac_log)
-    return np.where(jac_sign == 0.0, -np.inf, logp)
+            + b * lp + a * l1p + 2.0 * jac_log)
+    return np.where(jac == 0.0, -np.inf, logp)
 
 
 def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
@@ -397,46 +408,34 @@ def classical_rare_limit(spec: RareEventSpec) -> OccupancyDistribution:
     return OccupancyDistribution("classical-limit", m, np.array(probs), meta)
 
 
-def _laguerre_log(degree: int, a: int, x: float) -> tuple[float, float]:
-    """(ln|L|, sign) of the associated Laguerre polynomial by the scaled
-    degree recurrence."""
-    if degree == 0:
-        return 0.0, 1.0
-    prev = 1.0
-    curr = 1.0 + a - x
-    offset = 0.0
-    for k in range(1, degree):
-        nxt = ((2.0 * k + 1.0 + a - x) * curr - (k + a) * prev) / (k + 1.0)
-        prev, curr = curr, nxt
-        scale = max(abs(prev), abs(curr))
-        if scale > 1e150 or (0.0 < scale < 1e-150):
-            prev /= scale
-            curr /= scale
-            offset += math.log(scale)
-    if curr == 0.0:
-        return -math.inf, 0.0
-    return math.log(abs(curr)) + offset, math.copysign(1.0, curr)
+def _bose_limit_entries(w: float, m: int, last: int):
+    """Entries m' = 0..last of the bosonic rare-event law, yielded in
+    order; w > 0.
 
-
-def _rare_limit_entry(w: float, m: int, m_prime: int) -> float:
-    """One entry of the bosonic rare-event distribution.
-
-    Equals w**q * exp(-w) times the squared alternating sum over mu of
-    sqrt(m'! m!) (-w)**mu / (mu! (m-mu)! (q+mu)!).  The sum collapses to
-    an associated Laguerre polynomial of the smaller of (m, m'), which
-    the recurrence evaluates without the cancellation that caps the
-    literal alternating sum near 1e-11 relative accuracy.
+    Each equals w**q exp(-w) times the squared alternating sum over mu
+    of sqrt(m'! m!) (-w)**mu / (mu! (m-mu)! (q+mu)!), q = m' - m, which
+    collapses to w**(high-low) exp(-w) low!/high! L_low^(high-low)(w)**2
+    with low, high the smaller and larger of (m, m').  All Laguerre
+    factors come from one scaled recurrence over the columns, without
+    the cancellation that caps the literal sum near 1e-11 relative
+    accuracy; entries are exponentiated one at a time with ``math``, so
+    a caller may stop early.
     """
-    q = m_prime - m
-    if w == 0.0:
-        return 1.0 if q == 0 else 0.0
-    low, high = min(m, m_prime), max(m, m_prime)
-    lag_log, lag_sign = _laguerre_log(low, high - low, w)
-    if lag_sign == 0.0:
-        return 0.0
-    return math.exp((high - low) * math.log(w) - w
-                    + log_factorial(low) - log_factorial(high)
-                    + 2.0 * lag_log)
+    mp = np.arange(last + 1)
+    gap = np.abs(mp - m).astype(np.float64)
+    lag, lag_off = _scaled_recurrence(
+        np.minimum(mp, m), 1.0 + gap - w,
+        lambda k: (2.0 * k - 1.0 + gap - w, k - 1.0 + gap, float(k)))
+    log_w = math.log(w)
+    for m_prime, value, offset in zip(range(last + 1), lag.tolist(),
+                                      lag_off.tolist()):
+        if value == 0.0:
+            yield 0.0
+            continue
+        low, high = min(m, m_prime), max(m, m_prime)
+        yield math.exp((high - low) * log_w - w
+                       + log_factorial(low) - log_factorial(high)
+                       + 2.0 * (math.log(abs(value)) + offset))
 
 
 def _rare_limit_tail_bound(w: float, m: int, m_prime_max: int) -> float:
@@ -474,11 +473,13 @@ def bose_rare_limit(spec: RareEventSpec,
     left in the w**q exp(-w)/q! prefactor is below 1e-12.
     meta["tail_bound"] is an upper bound on the mass beyond the support,
     from the Chernoff bound of the exact generating function.
+    m_prime_max is capped at MAX_TABLE_N.
     """
     w, m = spec.w, spec.m
     meta = {"w": w, "m": m}
-    if m_prime_max is not None and m_prime_max < 0:
-        raise ValueError("m_prime_max must be nonnegative")
+    if m_prime_max is not None and not 0 <= m_prime_max <= MAX_TABLE_N:
+        raise ValueError(
+            f"m_prime_max must lie in 0..{MAX_TABLE_N}, got {m_prime_max!r}")
     if w == 0.0:
         hi = m if m_prime_max is None else m_prime_max
         probs = _point_mass(m, 0, hi)
@@ -488,8 +489,7 @@ def bose_rare_limit(spec: RareEventSpec,
     last = m + _poisson_support_cap(w) if auto else m_prime_max
     probs = []
     small_run = 0
-    for mp in range(last + 1):
-        value = _rare_limit_entry(w, m, mp)
+    for mp, value in enumerate(_bose_limit_entries(w, m, last)):
         probs.append(value)
         if not auto:
             continue
@@ -512,4 +512,55 @@ def recapture_probability(spec: RareEventSpec) -> float:
     Shares the evaluation path of the m_prime = 0 entry of
     bose_rare_limit, so the two agree bit for bit.
     """
-    return _rare_limit_entry(spec.w, spec.m, 0)
+    if spec.w == 0.0:
+        return 1.0 if spec.m == 0 else 0.0
+    return next(_bose_limit_entries(spec.w, spec.m, 0))
+
+
+_FIGURE_GRID_MAX = 12   # m, m' range of the surface tables
+_FIGURE_SECTION_MAX = 15  # m range of the section tables
+_FIGURE_RECAPTURE_W = (1, 3, 5)  # w values of the recapture table
+
+
+def figure_min_n(figure_id: int, w: float) -> int:
+    """Smallest n holding every count of the figure table with p = w/n <= 1."""
+    if figure_id == 5:
+        return max(_FIGURE_SECTION_MAX, *_FIGURE_RECAPTURE_W)
+    counts = _FIGURE_GRID_MAX if figure_id in (3, 4) else _FIGURE_SECTION_MAX
+    return max(counts, math.ceil(w))
+
+
+def figure_table(figure_id: int, n: int, w: float) -> tuple[list[str], list[list]]:
+    """(header, rows) of figure 3 or 4 (classical or bosonic m, m' surface),
+    5 (recapture, exact against its limit law) or 6 (bosonic sections)."""
+    p = w / n
+    if figure_id in (3, 4):
+        bose = figure_id == 4
+        rows = []
+        for m in range(_FIGURE_GRID_MAX + 1):
+            values = transfer_probabilities(TransferSpec(n, m, p), 0,
+                                            _FIGURE_GRID_MAX, bose=bose)
+            for m_prime, value in enumerate(values):
+                rows.append([m, m_prime, float(value)])
+        return ["m", "m_prime", "probability"], rows
+    if figure_id == 5:
+        header = ["m"]
+        for w_col in _FIGURE_RECAPTURE_W:
+            header += [f"p0m_exact_w{w_col}", f"p0m_poisson_w{w_col}"]
+        rows = []
+        for m in range(_FIGURE_SECTION_MAX + 1):
+            row: list = [m]
+            for w_col in _FIGURE_RECAPTURE_W:
+                spec = TransferSpec(n, m, w_col / n)
+                exact = float(transfer_probabilities(spec, 0, 0, bose=True)[0])
+                poisson = recapture_probability(RareEventSpec(float(w_col), m))
+                row += [exact, poisson]
+            rows.append(row)
+        return header, rows
+    rows = []
+    for m in range(_FIGURE_SECTION_MAX + 1):
+        spec = TransferSpec(n, m, p)
+        into_one = float(transfer_probabilities(spec, 1, 1, bose=True)[0])
+        unchanged = float(transfer_probabilities(spec, m, m, bose=True)[0])
+        rows.append([m, into_one, unchanged])
+    return ["m", "p_1_from_m", "p_m_from_m"], rows

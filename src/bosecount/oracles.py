@@ -10,8 +10,10 @@ seeded Monte Carlo sampler covers the classical model statistically.
 Two scalar cross-check channels evaluate single bosonic entries by
 other formulas than the production kernel: the alternating pathway sum
 (bose_amplitude_probability) and the Jacobi closed form on the
-untransformed (m, m') pair (bose_jacobi_probability), both in SignedLog
-arithmetic.
+untransformed (m, m') pair (bose_jacobi_probability).  Both run in the
+SignedLog arithmetic defined here: every heavy intermediate carried as
+(sign, ln|value|), alternating sums reduced by factoring out the largest
+magnitude and accumulating with Neumaier compensation.
 """
 
 from __future__ import annotations
@@ -19,23 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .distributions import OccupancyDistribution, TransferSpec
 from .dynamics import SingleParticleUnitary, TwoLevelParams
-from .numerics import (
-    SignedLog,
-    generalized_log_binomial,
-    log_binomial,
-    log_factorial,
-    signed_log_sum,
-)
+from .numerics import log_factorial
 
 __all__ = [
+    "CANCELLATION_EPS",
+    "SignedLog",
+    "log_binomial",
+    "generalized_log_binomial",
+    "signed_log_sum",
     "SizeLimit",
-    "EmpiricalDistribution",
     "enumerate_distinguishable",
     "enumerate_bose_first_quantized",
     "fock_evolve",
@@ -59,33 +59,146 @@ _FOCK_NORM_TOL = 1e-12
 # Largest rounding bound bose_amplitude_probability may return under.
 _AMPLITUDE_ABS_TOL = 1e-10
 
+# Mixed-sign accumulations whose total lands below this fraction of the
+# largest term collapse to the exact zero element: genuine interference
+# nulls must not surface as stray values like -1e-18.
+CANCELLATION_EPS = 1e-15
 
-class SizeLimit(ValueError):
-    """Problem size exceeds what the oracle is allowed to brute-force."""
+_EXACT_COMB_LIMIT = 512  # binomials with a side this small use exact integers
 
 
 @dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sampled final-count histogram, reproducible from the stored seed."""
+class SignedLog:
+    """A real number stored as an exact sign and ln(abs(value)).
 
-    counts: np.ndarray
-    trials: int
-    seed: int
-    generator: str = _RNG_TAG
-    start: int = 0
+    ``sign`` is -1, 0 or +1; ``log_magnitude`` is meaningless (and
+    ignored) when ``sign`` is 0.
+    """
+
+    sign: int
+    log_magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.sum() != self.trials:
-            raise ValueError("counts must sum to trials")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        if self.sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
 
-    def to_distribution(self) -> OccupancyDistribution:
-        probs = self.counts / self.trials
-        meta = {"trials": self.trials, "seed": self.seed,
-                "generator": self.generator}
-        return OccupancyDistribution("empirical", self.start, probs, meta)
+    @staticmethod
+    def zero() -> "SignedLog":
+        return _ZERO
+
+    @staticmethod
+    def one() -> "SignedLog":
+        return _ONE
+
+    @staticmethod
+    def from_linear(x: float) -> "SignedLog":
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError(f"cannot represent {x!r}")
+        if x == 0.0:
+            return _ZERO
+        return SignedLog(1 if x > 0.0 else -1, math.log(abs(x)))
+
+    def to_linear(self) -> float:
+        if self.sign == 0:
+            return 0.0
+        return self.sign * math.exp(self.log_magnitude)
+
+    def is_zero(self) -> bool:
+        return self.sign == 0
+
+    def __neg__(self) -> "SignedLog":
+        return SignedLog(-self.sign, self.log_magnitude)
+
+    def __mul__(self, other: "SignedLog") -> "SignedLog":
+        if not isinstance(other, SignedLog):
+            return NotImplemented
+        if self.sign == 0 or other.sign == 0:
+            return _ZERO
+        return SignedLog(self.sign * other.sign,
+                         self.log_magnitude + other.log_magnitude)
+
+    def pow(self, k: int) -> "SignedLog":
+        """Integer power, with 0**0 taken as 1."""
+        if k < 0:
+            raise ValueError("negative exponents are not supported")
+        if k == 0:
+            return _ONE
+        if self.sign == 0:
+            return _ZERO
+        sign = -1 if (self.sign < 0 and k % 2) else 1
+        return SignedLog(sign, k * self.log_magnitude)
+
+
+_ZERO = SignedLog(0, 0.0)
+_ONE = SignedLog(1, 0.0)
+
+
+def log_binomial(n: int, k: int) -> SignedLog:
+    """ln C(n, k) as a SignedLog; the zero element outside 0 <= k <= n.
+
+    When a side of the coefficient is small the exact integer value is
+    taken first: ln C(1e5, 3) through log-gamma differences loses the
+    cancelled leading digits (only ~7e-12 relative), while the log of
+    the exact integer is correctly rounded.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 0 or k > n:
+        return _ZERO
+    if min(k, n - k) <= _EXACT_COMB_LIMIT:
+        return SignedLog(1, math.log(math.comb(n, k)))
+    return SignedLog(1, log_factorial(n) - log_factorial(k) - log_factorial(n - k))
+
+
+def generalized_log_binomial(top: int, k: int) -> SignedLog:
+    """C(top, k) for any integer top and integer k, as a SignedLog.
+
+    Negative tops follow the reflection C(-t, k) = (-1)**k C(t+k-1, k),
+    which is the value of the falling-factorial definition.
+    """
+    if k < 0:
+        return _ZERO
+    if top >= 0:
+        return log_binomial(top, k)
+    mag = log_binomial(-top + k - 1, k)
+    if k % 2:
+        return -mag
+    return mag
+
+
+def signed_log_sum(terms: Iterable[SignedLog]) -> SignedLog:
+    """Sum SignedLog terms without leaving the representable range.
+
+    The largest magnitude is factored out, the rescaled signed terms are
+    accumulated in descending-magnitude order with Neumaier compensation,
+    and totals below CANCELLATION_EPS of the largest term collapse to the
+    exact zero element.
+    """
+    live = [t for t in terms if t.sign != 0]
+    if not live:
+        return _ZERO
+    live.sort(key=lambda t: t.log_magnitude, reverse=True)
+    lead = live[0].log_magnitude
+    if lead == -math.inf:
+        return _ZERO
+    total = 0.0
+    comp = 0.0
+    for t in live:
+        v = t.sign * math.exp(t.log_magnitude - lead)
+        s = total + v
+        if abs(total) >= abs(v):
+            comp += (total - s) + v
+        else:
+            comp += (v - s) + total
+        total = s
+    total += comp
+    if abs(total) < CANCELLATION_EPS:
+        return _ZERO
+    return SignedLog(1 if total > 0.0 else -1, lead + math.log(abs(total)))
+
+
+class SizeLimit(ValueError):
+    """Problem size exceeds what the oracle is allowed to brute-force."""
 
 
 def _popcounts(size: int) -> np.ndarray:
@@ -187,12 +300,13 @@ def fock_evolve(n: int, params: TwoLevelParams, t: float,
 
 
 def mc_sample_classical(spec: TransferSpec, trials: int,
-                        seed: int) -> EmpiricalDistribution:
+                        seed: int) -> OccupancyDistribution:
     """Seeded per-particle Bernoulli sampling of the classical model.
 
-    Trials are drawn in fixed-size chunks from a PCG64 generator, so the
-    resulting counts are bit-identical across runs and platforms for the
-    same seed.
+    Returns the sampled frequencies as an "empirical" distribution whose
+    meta holds trials, seed and generator.  Trials are drawn in
+    fixed-size chunks from a PCG64 generator, so the frequencies are
+    bit-identical across runs and platforms for the same seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -208,7 +322,8 @@ def mc_sample_classical(spec: TransferSpec, trials: int,
         m_final = m - flips_out + flips_in
         counts += np.bincount(m_final, minlength=n + 1)
         remaining -= batch
-    return EmpiricalDistribution(counts, trials, seed)
+    meta = {"trials": trials, "seed": seed, "generator": _RNG_TAG}
+    return OccupancyDistribution("empirical", 0, counts / trials, meta)
 
 
 def bose_amplitude_probability(spec: TransferSpec, m_prime: int) -> float:

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from bosecount.cli import _figure_table
 from bosecount.distributions import (
     RareEventSpec,
     TransferSpec,
     bose_exact,
     bose_rare_limit,
     classical_exact,
+    figure_table,
 )
 from bosecount.dynamics import TwoLevelParams, evolve, solve_pulse_duration
 from bosecount.oracles import (
@@ -192,12 +192,12 @@ def test_criterion_7_limit_convergence():
 
 def test_criterion_8_figure_reproduction():
     start = time.perf_counter()
-    tables = {fig: _figure_table(fig, 100000, 3.0) for fig in (3, 4, 5, 6)}
+    tables = {fig: figure_table(fig, 100000, 3.0)[1] for fig in (3, 4, 5, 6)}
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
 
-    classical_corner = {(r[0], r[1]): r[2] for r in tables[3].rows}
-    bose_corner = {(r[0], r[1]): r[2] for r in tables[4].rows}
+    classical_corner = {(r[0], r[1]): r[2] for r in tables[3]}
+    bose_corner = {(r[0], r[1]): r[2] for r in tables[4]}
     for m in range(6):
         assert bose_corner[(m, 0)] > 0.01
     # classical recapture suppression (w/N)**m exp(-w): below 1e-10 from
@@ -209,8 +209,8 @@ def test_criterion_8_figure_reproduction():
     assert classical_corner[(1, 0)] == pytest.approx(law_m1, rel=1e-2)
     assert classical_corner[(1, 0)] < 1e4 * bose_corner[(1, 0)] * 1e-4
 
-    into_one = [r[1] for r in tables[6].rows]
-    unchanged = [r[2] for r in tables[6].rows]
+    into_one = [r[1] for r in tables[6]]
+    unchanged = [r[2] for r in tables[6]]
     # bimodality: interior local minimum of P(1 <- m) at m = w
     minima_into_one = [m for m in range(1, 15)
                        if into_one[m] < into_one[m - 1] and into_one[m] < into_one[m + 1]]
@@ -243,15 +243,18 @@ def test_criterion_9_monte_carlo():
     trials = 10 ** 6
     first = mc_sample_classical(spec, trials, seed=42)
     second = mc_sample_classical(spec, trials, seed=42)
-    assert np.array_equal(first.counts, second.counts)
+    assert np.array_equal(first.probs, second.probs)
+    assert first.model == "empirical" and first.meta["trials"] == trials
+    counts = np.rint(first.probs * trials)
+    assert counts.sum() == trials
     exact = classical_exact(spec).probs
     expected = trials * exact
     se = np.sqrt(trials * exact * (1 - exact))
-    deviations = np.abs(first.counts - expected)
+    deviations = np.abs(counts - expected)
     assert np.all(deviations <= 4 * se + 1e-9)
     worst_sigma = float((deviations / np.maximum(se, 1e-300)).max())
     report(9, f"1e6 seeded trials, worst bin at {worst_sigma:.2f} sigma, "
-              f"counts bit-identical on rerun")
+              f"frequencies bit-identical on rerun")
 
 
 def test_criterion_10_documented_defect_guard():

@@ -145,7 +145,11 @@ class TestDist:
         ["dist", "--model", "classical", "--N", "4194305", "--p", "0.1"],
         ["figure", "--id", "4", "--N", "4194305"],
         ["plan", "--N", "4194305", "--m", "3"],
-    ], ids=["dist-bose", "dist-classical", "figure", "plan"])
+        ["dist", "--model", "bose", "--limit", "--m", "3", "--w", "3", "--mmax", "4194305"],
+        ["dist", "--model", "classical", "--limit", "--w", "4194305"],
+        ["dist", "--model", "bose", "--limit", "--w", "4194305"],
+    ], ids=["dist-bose", "dist-classical", "figure", "plan", "limit-mmax",
+            "limit-classical-w", "limit-bose-w"])
     def test_n_above_table_cap_exits_2_before_any_table(self, capsys, monkeypatch, argv):
         from bosecount import distributions
 
@@ -153,6 +157,7 @@ class TestDist:
             raise AssertionError(f"log-factorial table of size {n_max} requested")
 
         monkeypatch.setattr(distributions, "log_factorial_array", no_table)
+        monkeypatch.setattr(distributions, "log_factorial", no_table)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "4194304" in err

@@ -19,12 +19,14 @@ from bosecount.distributions import (
     recapture_probability,
     transfer_probabilities,
 )
-from bosecount.numerics import SignedLog, log_factorial, signed_log_sum
+from bosecount.numerics import log_factorial
 from bosecount.oracles import (
+    SignedLog,
     _pathway_sum_probability,
     bose_amplitude_probability,
     bose_jacobi_probability,
     jacobi_polynomial,
+    signed_log_sum,
 )
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -83,6 +85,42 @@ def rare_limit_entry_pathway_sum(w: float, m: int, m_prime: int) -> float:
     return math.exp(q * lw - w + 2.0 * s.log_magnitude)
 
 
+def laguerre_log_scalar(degree: int, a: int, x: float) -> tuple[float, float]:
+    """(ln|L|, sign) of the associated Laguerre polynomial by the scaled
+    degree recurrence, one entry at a time: the scalar evaluation the
+    vectorized limit kernel must reproduce bit for bit."""
+    if degree == 0:
+        return 0.0, 1.0
+    prev = 1.0
+    curr = 1.0 + a - x
+    offset = 0.0
+    for k in range(1, degree):
+        nxt = ((2.0 * k + 1.0 + a - x) * curr - (k + a) * prev) / (k + 1.0)
+        prev, curr = curr, nxt
+        scale = max(abs(prev), abs(curr))
+        if scale > 1e150 or (0.0 < scale < 1e-150):
+            prev /= scale
+            curr /= scale
+            offset += math.log(scale)
+    if curr == 0.0:
+        return -math.inf, 0.0
+    return math.log(abs(curr)) + offset, math.copysign(1.0, curr)
+
+
+def rare_limit_entry_scalar(w: float, m: int, m_prime: int) -> float:
+    """One bosonic limit entry through laguerre_log_scalar."""
+    q = m_prime - m
+    if w == 0.0:
+        return 1.0 if q == 0 else 0.0
+    low, high = min(m, m_prime), max(m, m_prime)
+    lag_log, lag_sign = laguerre_log_scalar(low, high - low, w)
+    if lag_sign == 0.0:
+        return 0.0
+    return math.exp((high - low) * math.log(w) - w
+                    + log_factorial(low) - log_factorial(high)
+                    + 2.0 * lag_log)
+
+
 def laguerre_exact(degree: int, a: int, x: Fraction) -> Fraction:
     return sum(Fraction((-1) ** k * math.comb(degree + a, degree - k),
                         math.factorial(k)) * x ** k
@@ -116,8 +154,11 @@ class TestSpecs:
         lambda: OccupancyDistribution("oracle", 0, [math.nan, 0.5]),
         lambda: TransferSpec(2 ** 22 + 1, 0, 0.1),
         lambda: RareEventSpec(3.0, 2 ** 22 + 1),
+        lambda: RareEventSpec(2 ** 22 + 1.0, 0),
+        lambda: bose_rare_limit(RareEventSpec(3.0, 3), 2 ** 22 + 1),
     ], ids=["n-float", "m-bool", "n-bool", "m-integral-float", "limit-m-float",
-            "limit-m-bool", "nan-prob", "n-above-table", "limit-m-above-table"])
+            "limit-m-bool", "nan-prob", "n-above-table", "limit-m-above-table",
+            "limit-w-above-table", "limit-mmax-above-table"])
     def test_rejects_malformed_inputs(self, make):
         with pytest.raises(ValueError):
             make()
@@ -216,6 +257,17 @@ class TestClassicalRareLimit:
         assert d.start == 5
         assert d.meta["tail_bound"] < 1e-14
         assert abs(d.total() - 1.0) < 1e-13
+
+    def test_large_w_reads_no_table(self, monkeypatch):
+        # ln q! per term comes from lgamma, not from a table regrown per q
+        from bosecount import numerics
+
+        def no_table(n_max):
+            raise AssertionError(f"log-factorial table of size {n_max} requested")
+
+        monkeypatch.setattr(numerics, "log_factorial_array", no_table)
+        d = classical_rare_limit(RareEventSpec(2.4e5))
+        assert abs(d.total() - 1.0) < 1e-9
 
     def test_support_shifts_with_m_but_values_do_not(self):
         a = classical_rare_limit(RareEventSpec(2.5, 0))
@@ -513,6 +565,19 @@ class TestBoseRareLimit:
                     ref = d.probs[mp]
                     alt = rare_limit_entry_pathway_sum(w, m, mp)
                     assert abs(alt - ref) <= 1e-9 * ref + 1e-10
+
+    @pytest.mark.parametrize("w", [0.5, 3.0, 20.0])
+    @pytest.mark.parametrize("m", [0, 3, 30, 300, 1000])
+    def test_bitwise_equal_to_scalar_recurrence(self, w, m):
+        # both truncation modes; m = 1000 reaches the rescaling branch
+        spec = RareEventSpec(w, m)
+        auto = bose_rare_limit(spec).probs
+        explicit = bose_rare_limit(spec, m + 20).probs
+        ref = [rare_limit_entry_scalar(w, m, mp)
+               for mp in range(max(len(auto), len(explicit)))]
+        assert auto.tolist() == ref[:len(auto)]
+        assert explicit.tolist() == ref[:len(explicit)]
+        assert recapture_probability(spec) == ref[0]
 
     def test_matches_finite_n_at_large_n(self):
         n = 10 ** 5

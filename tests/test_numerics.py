@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosecount.numerics import (
+from bosecount.numerics import log_factorial, log_factorial_array
+from bosecount.oracles import (
     CANCELLATION_EPS,
     SignedLog,
     generalized_log_binomial,
     log_binomial,
-    log_factorial,
-    log_factorial_array,
     signed_log_sum,
 )
 

@@ -6,7 +6,6 @@ import pytest
 from bosecount.distributions import TransferSpec, bose_exact, classical_exact
 from bosecount.dynamics import TwoLevelParams, evolve, solve_pulse_duration
 from bosecount.oracles import (
-    EmpiricalDistribution,
     SizeLimit,
     enumerate_bose_first_quantized,
     enumerate_distinguishable,
@@ -170,21 +169,26 @@ class TestThreeWayAgreement:
                     assert np.abs(second - closed).max() < 1e-10
 
 
+def sampled_counts(dist) -> np.ndarray:
+    """Per-bin trial counts behind an empirical distribution."""
+    return np.rint(dist.probs * dist.meta["trials"]).astype(np.int64)
+
+
 class TestMonteCarlo:
     def test_no_switch(self):
         d = mc_sample_classical(TransferSpec(5, 0, 0.0), 1000, seed=7)
-        assert d.counts[0] == 1000
+        assert d.probs[0] == 1.0
 
     def test_deterministic_swap(self):
         d = mc_sample_classical(TransferSpec(5, 2, 1.0), 1000, seed=7)
-        assert d.counts[3] == 1000
+        assert d.probs[3] == 1.0
 
     def test_seed_reproducibility(self):
         a = mc_sample_classical(TransferSpec(20, 5, 0.1), 200000, seed=1234)
         b = mc_sample_classical(TransferSpec(20, 5, 0.1), 200000, seed=1234)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.probs, b.probs)
         c = mc_sample_classical(TransferSpec(20, 5, 0.1), 200000, seed=1235)
-        assert not np.array_equal(a.counts, c.counts)
+        assert not np.array_equal(a.probs, c.probs)
 
     def test_against_exact_within_standard_errors(self):
         spec = TransferSpec(20, 5, 0.1)
@@ -192,20 +196,20 @@ class TestMonteCarlo:
         emp = mc_sample_classical(spec, trials, seed=20260809)
         exact = classical_exact(spec).probs
         se = np.sqrt(trials * exact * (1 - exact))
-        assert np.all(np.abs(emp.counts - trials * exact) <= 4 * se + 1e-9)
+        assert np.all(np.abs(sampled_counts(emp) - trials * exact) <= 4 * se + 1e-9)
 
     def test_counts_metadata(self):
         d = mc_sample_classical(TransferSpec(4, 1, 0.25), 5000, seed=99)
-        assert d.trials == 5000
-        assert d.seed == 99
-        assert "PCG64" in d.generator
-        assert d.counts.sum() == 5000
-        dist = d.to_distribution()
-        assert dist.model == "empirical"
-        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+        assert d.model == "empirical"
+        assert d.start == 0 and len(d.probs) == 5
+        assert d.meta["trials"] == 5000
+        assert d.meta["seed"] == 99
+        assert "PCG64" in d.meta["generator"]
+        counts = sampled_counts(d)
+        assert counts.sum() == 5000
+        assert np.array_equal(counts / 5000, d.probs)
+        assert d.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_sample_classical(TransferSpec(4, 1, 0.25), 0, seed=1)
-        with pytest.raises(ValueError):
-            EmpiricalDistribution(np.array([1, 2]), trials=5, seed=0)
