@@ -19,12 +19,22 @@ keeps every mu alive, producing a structured distribution with finite
 probability for net transfer *out of* the sparse mode, down to full
 recapture with probability w**m * exp(-w) / m!.  The tables behind the
 reference figures are built here too, from the same kernels.
+
+Routes of a finite-N row (``transfer_probabilities``): p in {0, 1} is a
+point mass and m in {0, N} the binomial law.  Bosonic rows with
+min(m, N - m) <= 20 evaluate each entry through the Jacobi closed form
+on the symmetric image of (m, m'), which keeps the reversal symmetry
+bitwise.  Every other row, classical or bosonic, is swept over its
+support window by Miller's method for the minimal solution of a
+three-term recurrence in m' (Gautschi, SIAM Review 9, 1967): O(window)
+work instead of O(N min(m, N - m)), and no ln k! table.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,6 +76,29 @@ _TAIL_PROB_EPS = 1e-14
 _TAIL_MASS_EPS = 1e-12
 _TAIL_RUN = 3
 
+# Bosonic rows with min(m, n - m) up to this count take the Jacobi-image
+# route, whose reversal symmetry is bitwise; the others, and every
+# classical row with 0 < m < n, take the support-window sweep.
+_SWEEP_MIN_COUNT = 20
+
+# The sweep window starts at mean +- (45 sd + 30) and its margin doubles
+# until each edge sits at 0 or n or at least _EDGE_DROP below the peak
+# in ln, beyond the double range, where the Miller start's error is lost.
+_WINDOW_SDS = 45.0
+_WINDOW_PAD = 30.0
+_EDGE_DROP = 800.0
+# Points past the bosonic split point swept from both sides, at most one
+# sd so they stay inside the oscillating region (half-width ~1.4 sd); the
+# sweeps are matched at the one of largest magnitude, never at a node.
+_BOSE_OVERLAP = 8
+# The sweep rescales by a power of two once a value leaves [2**-500,
+# 2**500].  Below _TINY_P one step can grow a value by ~1/p, beyond that
+# headroom, so the sweep runs on x(k) * p**(k - k0) (sqrt(p) for bosons).
+_SWEEP_HUGE = 2.0 ** 500
+_SWEEP_TINY = 2.0 ** -500
+_TINY_P = 1e-100
+_LN2 = math.log(2.0)
+
 # Points of the ln z grid searched for the bosonic limit's Chernoff tail
 # bound; any z > 1 gives a valid bound, so the grid only has to be dense
 # enough to land near the minimum.
@@ -88,8 +121,8 @@ class TransferSpec:
     """Finite-size problem: n particles, m initially marked, switch
     probability p.
 
-    n is capped at MAX_TABLE_N = 2**22, where the ln k! table every row
-    reads reaches 32 MiB.
+    n is capped at MAX_TABLE_N = 2**22, where the ln k! table read by the
+    binomial (m in {0, n}) and Jacobi-image rows reaches 32 MiB.
     """
 
     n: int
@@ -187,41 +220,6 @@ def _binomial_log_pmf(n: int, counts: np.ndarray, lp: float, l1p: float,
     return lf[n] - lf[counts] - lf[n - counts] + c * lp + (n - c) * l1p
 
 
-def _classical_log_sums(n: int, m: int, p: float,
-                        mp_lo: int, mp_hi: int) -> np.ndarray:
-    """ln of the classical P(m_prime) for m_prime in [mp_lo, mp_hi];
-    requires 0 < m < n and 0 < p < 1.
-
-    All pathway terms are positive, so a plain per-column log-sum-exp is
-    stable for every (m, p).  Works blockwise over m_prime keeping only
-    the live mu window: pathway (mu, nu) needs 0 <= nu = q + mu <= n - m,
-    so each column holds at most min(m, n-m) + 1 rows.
-    """
-    lf = log_factorial_array(n)
-    lp = math.log(p)
-    l1p = math.log1p(-p)
-    out = np.empty(mp_hi - mp_lo + 1)
-    live_rows = min(m, n - m) + 1
-    block = max(64, _BLOCK_TERMS // min(m + 1, live_rows + 2048))
-    for lo in range(mp_lo, mp_hi + 1, block):
-        hi = min(lo + block - 1, mp_hi)
-        mp = np.arange(lo, hi + 1)
-        q = mp - m
-        mu = np.arange(max(0, m - hi), min(m, n - lo) + 1)
-        nu = q[None, :] + mu[:, None]
-        ok = (nu >= 0) & (nu <= n - m)
-        nu_c = np.where(ok, nu, 0)
-        log_cm = lf[m] - lf[mu] - lf[m - mu]
-        log_cn = np.where(ok, lf[n - m] - lf[nu_c] - lf[(n - m) - nu_c], -np.inf)
-        ep = (q[None, :] + 2 * mu[:, None]).astype(np.float64)
-        e1p = float(n) - ep
-        term = log_cm[:, None] + log_cn + ep * lp + e1p * l1p
-        tmax = term.max(axis=0)
-        rescaled = np.exp(term - tmax)
-        out[lo - mp_lo: hi - mp_lo + 1] = tmax + np.log(rescaled.sum(axis=0))
-    return out
-
-
 def _scaled_recurrence(deg: np.ndarray, first: np.ndarray,
                        coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Per-column degree member of a three-term recurrence, as (value,
@@ -314,6 +312,140 @@ def _bose_log_range(n: int, m: int, p: float,
     return np.where(jac == 0.0, -np.inf, logp)
 
 
+def _miller_sweep(n: int, m: int, p: float, bose: bool, sigma: float,
+                  k0: int, k1: int) -> tuple[array, list]:
+    """x(k0..k1) of the row (n, m, p) up to one common factor, from the
+    Miller start x(k0 - 1) = 0, x(k0) = 1, as (values, marks).
+
+    Bosons sweep the Krawtchouk (Wigner-d) recurrence of the amplitudes,
+    b(k+1) A(k+1) + b(k) A(k-1) = c(k) A(k) with b(k) = sqrt(k (n-k+1))
+    and c(k) = [(2k-n)(1-2p) - (2m-n)] / (2 sqrt(p(1-p))); P = A**2.
+    Classical rows sweep the coefficients of G(z) = (p + (1-p) z)**m
+    (1-p + p z)**(n-m), from (a + s z + a z**2) G' = (A + n a z) G with
+    a = p(1-p), s = p**2 + (1-p)**2 and A = m (1-p)**2 + (n-m) p**2.
+    The sweep runs on x(k) * sigma**(k - k0).  values[j] * 2**e is that
+    product at k0 + j, for the last mark (i, e) with i <= j, e = 0 before
+    the first mark: once the larger of the running pair leaves
+    [2**-500, 2**500] both are rescaled by a power of two, exactly.
+    """
+    q = 1.0 - p
+    k = np.arange(k0, k1, dtype=np.float64)
+    if bose:
+        kb = np.arange(k0, k1 + 1, dtype=np.float64)
+        b = np.sqrt(kb * (n + 1.0 - kb))
+        c = ((k - m) - p * (2.0 * k - n)) * (sigma / math.sqrt(p * q))
+        alpha = c / b[1:]
+        beta = -(sigma * sigma) * b[:-1] / b[1:]
+    else:
+        # A - s k summed from exact integer differences, which keeps the
+        # coefficient accurate where A and s k are both large
+        a_sk = q * q * (m - k) + p * p * ((n - m) - k)
+        alpha = a_sk * (sigma / (p * q)) / (k + 1.0)
+        beta = (n + 1.0 - k) * (sigma * sigma) / (k + 1.0)
+    tiny, huge = _SWEEP_TINY, _SWEEP_HUGE
+    values = array("d", [1.0])
+    append = values.append
+    marks = []
+    shift = 0
+    prev, cur = 0.0, 1.0
+    for a, b in zip(alpha.tolist(), beta.tolist()):
+        prev, cur = cur, a * cur + b * prev
+        if not tiny < abs(cur) < huge:
+            mag = max(abs(prev), abs(cur))
+            if not tiny <= mag <= huge:
+                e = math.frexp(mag)[1]
+                prev = math.ldexp(prev, -e)
+                cur = math.ldexp(cur, -e)
+                shift += e
+                marks.append((len(values), shift))
+        append(cur)
+    return values, marks
+
+
+def _sweep_logs(values: array, marks: list, log_sigma: float) -> np.ndarray:
+    """ln|x(k0 + j)| of a _miller_sweep result, up to its common factor."""
+    vals = np.frombuffer(values)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(vals))
+    if marks:
+        shift = np.zeros(vals.size)
+        for start, e in marks:
+            shift[start:] = e
+        out += shift * _LN2
+    if log_sigma:
+        out -= np.arange(vals.size) * log_sigma
+    return out
+
+
+def _sweep_row(n: int, m: int, p: float, bose: bool) -> tuple[int, np.ndarray]:
+    """(lo, probs): the row of either model over its support window
+    lo..lo+len(probs)-1, zero outside; requires 0 < m < n and 0 < p < 1.
+
+    Miller's method for the minimal solution of a three-term recurrence
+    (Gautschi, SIAM Review 9, 1967): a forward sweep from the window's
+    low edge, and a backward one run as the forward sweep of the
+    relabelled row (m -> n-m, m' -> n-m'), each stable where it heads
+    into the bulk.  Classical sweeps meet at A/s, where the parasitic
+    alternating solution stops decaying; bosonic ones overlap around the
+    mean and are matched at the overlap point of largest magnitude.
+    Rows with m > n/2 are the reversed rows of n - m, so the relabel
+    symmetry holds bitwise.
+    """
+    if 2 * m > n:
+        lo, probs = _sweep_row(n, n - m, p, bose)
+        return n + 1 - lo - probs.size, probs[::-1]
+    q = 1.0 - p
+    mean = m * q + (n - m) * p
+    if bose:
+        sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
+        split = mean
+        sigma = math.sqrt(p) if p < _TINY_P else 1.0
+        overlap = min(_BOSE_OVERLAP, int(sd))
+    else:
+        sd = math.sqrt(n * p * q)
+        split = (m * q * q + (n - m) * p * p) / (p * p + q * q)
+        sigma = p if p < _TINY_P else 1.0
+        overlap = 0
+    log_sigma = math.log(sigma)
+    margin = _WINDOW_SDS * sd + _WINDOW_PAD
+    while True:
+        lo = max(0, math.floor(mean - margin))
+        hi = min(n, math.ceil(mean + margin))
+        cut = min(max(math.floor(split), lo), hi)
+        top, bottom = min(hi, cut + overlap), max(lo, cut - overlap)
+        fwd, fwd_marks = _miller_sweep(n, m, p, bose, sigma, lo, top)
+        # bwd[j] is x(hi - j)
+        bwd, bwd_marks = _miller_sweep(n, n - m, p, bose, sigma,
+                                       n - hi, n - bottom)
+        if (lo == 0 and hi == n and sigma == 1.0
+                and not fwd_marks and not bwd_marks):
+            # one linear pass in plain floats, the common case at small n
+            join = (max(range(bottom, top + 1), key=lambda k: abs(fwd[k]))
+                    if bose else cut)
+            ratio = fwd[join] / bwd[n - join]
+            row = fwd[:join + 1].tolist()
+            row += [v * ratio for v in reversed(bwd[:n - join])]
+            probs = np.array([v * v for v in row] if bose else row)
+            total = probs.sum()
+            if total < _SWEEP_HUGE:
+                probs /= total
+                return 0, probs
+        ln_fwd = _sweep_logs(fwd, fwd_marks, log_sigma)
+        ln_bwd = _sweep_logs(bwd, bwd_marks, log_sigma)[::-1]
+        join = bottom + int(np.argmax(ln_fwd[bottom - lo:])) if bose else cut
+        at_f, at_b = join - lo, join - bottom
+        ln = np.concatenate((ln_fwd[:at_f + 1],
+                             ln_bwd[at_b + 1:] + (ln_fwd[at_f] - ln_bwd[at_b])))
+        if bose:
+            ln *= 2.0
+        peak = float(ln.max())
+        if ((lo == 0 or ln[0] < peak - _EDGE_DROP)
+                and (hi == n or ln[-1] < peak - _EDGE_DROP)):
+            scaled = np.exp(ln - peak)
+            return lo, scaled / scaled.sum()
+        margin *= 2.0
+
+
 def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
                            *, bose: bool) -> np.ndarray:
     """Probabilities of final counts mp_lo..mp_hi for either model.
@@ -321,7 +453,9 @@ def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
     The degenerate cases share one code path across models: p in {0, 1}
     gives a point mass, and m in {0, n} leaves a single pathway per
     m_prime, where the bosonic pathway sum reduces to the same binomial
-    law as the classical one.
+    law as the classical one.  Bosonic rows with min(m, n-m) <= 20 take
+    the Jacobi-image route; every other row is swept over its support
+    window only.
     """
     if not 0 <= mp_lo <= mp_hi <= spec.n:
         raise ValueError(f"bad m_prime range {mp_lo}..{mp_hi} for n={spec.n}")
@@ -330,23 +464,32 @@ def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
         return _point_mass(m, mp_lo, mp_hi)
     if p == 1.0:
         return _point_mass(n - m, mp_lo, mp_hi)
-    lf = log_factorial_array(n)
-    counts = np.arange(mp_lo, mp_hi + 1)
-    lp = math.log(p)
-    l1p = math.log1p(-p)
-    if m == 0:
-        return np.exp(_binomial_log_pmf(n, counts, lp, l1p, lf))
-    if m == n:
-        # the relabeled image of the m = 0 case, evaluated through the
+    if m in (0, n):
+        counts = np.arange(mp_lo, mp_hi + 1)
+        # m = n is the relabeled image of m = 0, evaluated through the
         # identical expression so the relabel symmetry holds bitwise
-        return np.exp(_binomial_log_pmf(n, n - counts, lp, l1p, lf))
-    if bose:
+        return np.exp(_binomial_log_pmf(n, counts if m == 0 else n - counts,
+                                        math.log(p), math.log1p(-p),
+                                        log_factorial_array(n)))
+    if bose and min(m, n - m) <= _SWEEP_MIN_COUNT:
         return np.exp(_bose_log_range(n, m, p, mp_lo, mp_hi))
-    return np.exp(_classical_log_sums(n, m, p, mp_lo, mp_hi))
+    lo, row = _sweep_row(n, m, p, bose)
+    out = np.zeros(mp_hi - mp_lo + 1)
+    first, last = max(lo, mp_lo), min(lo + row.size - 1, mp_hi)
+    if first <= last:
+        out[first - mp_lo: last - mp_lo + 1] = row[first - lo: last - lo + 1]
+    return out
 
 
 def classical_exact(spec: TransferSpec) -> OccupancyDistribution:
-    """Exact finite-size distribution for distinguishable particles."""
+    """Exact finite-size distribution for distinguishable particles.
+
+    m in {0, n} gives the binomial law in closed form (ln k! table); every
+    other row with 0 < p < 1 comes from the two Miller sweeps of the
+    generating-function recurrence over the row's support window, in
+    O(window) steps, normalized to sum 1.  The 2**n enumeration in
+    bosecount.oracles is the cross-check.
+    """
     probs = transfer_probabilities(spec, 0, spec.n, bose=False)
     meta = {"n": spec.n, "m": spec.m, "p": spec.p}
     return OccupancyDistribution("classical-exact", 0, probs, meta)
@@ -355,10 +498,15 @@ def classical_exact(spec: TransferSpec) -> OccupancyDistribution:
 def bose_exact(spec: TransferSpec) -> OccupancyDistribution:
     """Exact finite-size distribution for identical bosons.
 
-    Entries equal the alternating pathway sum but are evaluated through
-    the symmetric-image Jacobi form, which stays accurate where that sum
-    cancels catastrophically; bosecount.oracles carries the pathway sum
-    and the untransformed Jacobi form as scalar cross-check channels.
+    Entries equal the alternating pathway sum, which cancels
+    catastrophically away from the rare-event corner, so they come from
+    one of two stable routes.  Rows with min(m, n-m) <= 20 take the
+    symmetric-image Jacobi form entry by entry (m in {0, n}: the binomial
+    law), which keeps the reversal symmetry P(m'|m) = P(m|m') bitwise.
+    The others come from the Miller sweeps of the Krawtchouk recurrence
+    over the row's support window, in O(window) steps, normalized to sum
+    1.  bosecount.oracles carries the pathway sum and the untransformed
+    Jacobi form as scalar cross-check channels.
     """
     probs = transfer_probabilities(spec, 0, spec.n, bose=True)
     meta = {"n": spec.n, "m": spec.m, "p": spec.p}

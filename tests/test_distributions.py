@@ -19,6 +19,7 @@ from bosecount.distributions import (
     recapture_probability,
     transfer_probabilities,
 )
+from bosecount.distributions import _SWEEP_MIN_COUNT, _bose_log_range, _sweep_row
 from bosecount.numerics import log_factorial
 from bosecount.oracles import (
     SignedLog,
@@ -125,6 +126,55 @@ def laguerre_exact(degree: int, a: int, x: Fraction) -> Fraction:
     return sum(Fraction((-1) ** k * math.comb(degree + a, degree - k),
                         math.factorial(k)) * x ** k
                for k in range(degree + 1))
+
+
+def classical_pathway_sum(n: int, m: int, p: float, m_prime: int) -> float:
+    """Classical entry as the float sum of its positive pathway terms;
+    within a few ulps for n <= 30."""
+    q = m_prime - m
+    return sum(math.comb(m, mu) * math.comb(n - m, q + mu)
+               * p ** (q + 2 * mu) * (1 - p) ** (n - q - 2 * mu)
+               for mu in range(max(0, -q), min(m, n - m - q) + 1))
+
+
+def pathway_entry_mp(n: int, m: int, p: float, m_prime: int, bose: bool):
+    """P(m_prime | m) from the literal pathway sum in mpmath, raising the
+    working precision until two evaluations agree to 1e-20 (the bosonic
+    sum cancels by up to n*log10(sqrt(p) + sqrt(1-p)) digits)."""
+    q = m_prime - m
+    lo, hi = max(0, -q), min(m, n - m - q)
+
+    def at(dps):
+        with mpmath.workdps(dps):
+            pp = mpmath.mpf(p)
+            half = mpmath.sqrt(pp) if bose else pp
+            rest = mpmath.sqrt(1 - pp) if bose else 1 - pp
+            term = (mpmath.binomial(m, lo) * mpmath.binomial(n - m, q + lo)
+                    * half ** (q + 2 * lo) * rest ** (n - q - 2 * lo))
+            ratio = (-1 if bose else 1) * (half / rest) ** 2
+            total = term
+            for mu in range(lo, hi):
+                term *= ratio * ((m - mu) * (n - m - q - mu)) / ((mu + 1) * (q + mu + 1))
+                total += term
+            if bose:
+                total = total ** 2 * mpmath.binomial(n, m) / mpmath.binomial(n, m_prime)
+            return +total
+
+    dps = 40 + int(n * math.log10(math.sqrt(p) + math.sqrt(1 - p))) if bose else 40
+    prev = at(dps)
+    while True:
+        dps += 40
+        value = at(dps)
+        if abs(value - prev) <= abs(value) * mpmath.mpf(10) ** -20:
+            return value
+        prev = value
+
+
+def envelope(probs: np.ndarray) -> np.ndarray:
+    """Per entry the larger of P(k) and sqrt(P(k-1) P(k+1)): the entry on a
+    smooth stretch, the local amplitude scale at an interference dip."""
+    padded = np.concatenate(([0.0], probs, [0.0]))
+    return np.maximum(probs, np.sqrt(padded[:-2] * padded[2:]))
 
 
 class TestSpecs:
@@ -429,6 +479,112 @@ class TestBoseExact:
         assert float(d.probs.min()) >= 0.0
         rev = bose_exact(TransferSpec(n, mp, p))
         assert d.probs[mp] == rev.probs[m]
+
+
+class TestSupportWindowSweep:
+    """The Miller sweeps behind every classical row with 0 < m < n and the
+    bosonic rows with min(m, n-m) > _SWEEP_MIN_COUNT."""
+
+    @staticmethod
+    def full_row(n, m, p, bose):
+        lo, row = _sweep_row(n, m, p, bose)
+        probs = np.zeros(n + 1)
+        probs[lo: lo + row.size] = row
+        return probs
+
+    @pytest.mark.parametrize("bose", [False, True])
+    def test_full_rows_match_pathway_sums(self, bose):
+        # every m of small n, below the bosonic routing threshold as well
+        for n in (2, 3, 5, 8, 13, 21, 30):
+            for m in range(1, n):
+                for p in P_GRID:
+                    probs = self.full_row(n, m, p, bose)
+                    for mp in range(n + 1):
+                        if bose:
+                            ref = _pathway_sum_probability(TransferSpec(n, m, p), mp)
+                            assert abs(probs[mp] - ref) <= 1e-10 * ref + 4e-12
+                        else:
+                            ref = classical_pathway_sum(n, m, p, mp)
+                            assert abs(probs[mp] - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("n, m, p, bose, picks", [
+        # the Poisson-like right tail the fixed mean +- (45 sd + 30) window cut
+        (10000, 1000, 3e-4, False, (990, 1003, 1110)),
+        (10000, 1000, 3e-4, True, (980, 1002, 1090)),
+        (10000, 5000, 0.3, False, (4500, 5000, 5600)),
+        (10000, 300, 0.01, True, (150, 398, 700)),
+        (1000, 31, 0.3, True, (0, 100, 300, 700)),
+        (1000, 500, 0.003, False, (480, 501, 530)),
+        (1000, 300, 0.01, True, (250, 303, 330)),
+    ])
+    def test_entries_match_mpmath(self, n, m, p, bose, picks):
+        probs = (bose_exact if bose else classical_exact)(TransferSpec(n, m, p)).probs
+        env = envelope(probs)
+        for mp in picks:
+            ref = pathway_entry_mp(n, m, p, mp, bose)
+            assert ref > 1e-290
+            assert abs(probs[mp] - ref) <= 1e-10 * env[mp]
+
+    @pytest.mark.parametrize("p", [3e-5, 0.3])
+    @pytest.mark.parametrize("bose", [False, True])
+    def test_moment_identities(self, p, bose):
+        n, m = 100000, 316
+        probs = (bose_exact if bose else classical_exact)(TransferSpec(n, m, p)).probs
+        k = np.arange(n + 1, dtype=np.float64)
+        mean = m * (1 - p) + (n - m) * p
+        var = p * (1 - p) * (n + 2 * m * (n - m)) if bose else n * p * (1 - p)
+        assert abs(math.fsum(k * probs) - mean) <= 1e-9 * mean
+        assert abs(math.fsum((k - mean) ** 2 * probs) - var) <= 1e-9 * var
+        assert abs(math.fsum(probs) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9])
+    def test_bose_routes_agree_at_threshold(self, n, p):
+        for m in (_SWEEP_MIN_COUNT, _SWEEP_MIN_COUNT + 1,
+                  n - _SWEEP_MIN_COUNT, n - _SWEEP_MIN_COUNT - 1):
+            jacobi = np.exp(_bose_log_range(n, m, p, 0, n))
+            swept = self.full_row(n, m, p, True)
+            routed = bose_exact(TransferSpec(n, m, p)).probs
+            assert np.array_equal(routed,
+                                  jacobi if min(m, n - m) <= _SWEEP_MIN_COUNT else swept)
+            assert (np.abs(swept - jacobi) <= 1e-12 * envelope(jacobi)).all()
+
+    def test_paper_scale_classical_row_normalized(self):
+        probs = classical_exact(TransferSpec(100000, 3, 0.3)).probs
+        assert abs(math.fsum(probs) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("bose", [False, True])
+    def test_range_query_matches_full(self, bose):
+        spec = TransferSpec(5000, 1200, 0.02)
+        full = (bose_exact if bose else classical_exact)(spec).probs
+        for lo, hi in ((0, 5000), (1200, 1200), (1000, 1400), (0, 10), (4990, 5000)):
+            part = transfer_probabilities(spec, lo, hi, bose=bose)
+            assert np.array_equal(full[lo: hi + 1], part)
+
+    def test_swept_rows_read_no_table(self, monkeypatch):
+        from bosecount import distributions
+
+        def no_table(n_max):
+            raise AssertionError(f"log-factorial table of size {n_max} requested")
+
+        monkeypatch.setattr(distributions, "log_factorial_array", no_table)
+        for kernel, m in ((classical_exact, 3), (classical_exact, 40000),
+                          (bose_exact, 40000)):
+            assert abs(kernel(TransferSpec(100000, m, 0.3)).total() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("p", [1e-99, 1e-200, 1e-300, 5e-324])
+    @pytest.mark.parametrize("bose", [False, True])
+    def test_tiny_p_rows(self, p, bose):
+        # one step of the recurrence grows a value by ~1/p here
+        n, m = 100, 40
+        probs = (bose_exact if bose else classical_exact)(TransferSpec(n, m, p)).probs
+        assert np.isfinite(probs).all() and probs[m] == 1.0
+        # leading pathways: one particle out, or one in (bosons: enhanced)
+        down = m * (n - m + 1) * p if bose else m * p
+        up = (m + 1) * (n - m) * p if bose else (n - m) * p
+        assert probs[m - 1] == pytest.approx(down, rel=1e-10)
+        assert probs[m + 1] == pytest.approx(up, rel=1e-10)
+        assert abs(math.fsum(probs) - 1.0) <= 1e-15
 
 
 class TestJacobiPolynomial:
