@@ -38,6 +38,8 @@ from .verification import run_verification
 
 __all__ = ["PlanReport", "main"]
 
+_ROW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class PlanReport:
@@ -80,9 +82,17 @@ def _write(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+def _row_blocks(start: int, probs: np.ndarray):
+    """(m_prime, value) pairs of a row, one block of _ROW_BLOCK at a time,
+    so that a 4e6-row table never holds a Python float and string per row
+    at once."""
+    for lo in range(0, probs.size, _ROW_BLOCK):
+        yield enumerate(probs[lo: lo + _ROW_BLOCK].tolist(), start + lo)
+
+
 def _rows_csv(start: int, probs: np.ndarray) -> str:
-    body = "".join([f"{mp},{value!r}\n"
-                    for mp, value in enumerate(probs.tolist(), start)])
+    body = "".join(["".join([f"{mp},{value!r}\n" for mp, value in block])
+                    for block in _row_blocks(start, probs)])
     return "m_prime,probability\n" + body
 
 
@@ -91,9 +101,10 @@ def _rows_json(start: int, probs: np.ndarray, meta: dict) -> str:
     nonempty probs, with the rows formatted directly: the encoder costs
     seven times as much on a 1e5-row table.  Floats use repr in both."""
     head = json.dumps({"meta": meta, "rows": []}, indent=2)
-    body = ",".join([f"\n    [\n      {mp},\n      {value!r}\n    ]"
-                     for mp, value in enumerate(probs.tolist(), start)])
-    return head[: -len("[]\n}")] + "[" + body + "\n  ]\n}\n"
+    body = ",".join([",".join([f"\n    [\n      {mp},\n      {value!r}\n    ]"
+                               for mp, value in block])
+                     for block in _row_blocks(start, probs)])
+    return "".join([head[: -len("[]\n}")], "[", body, "\n  ]\n}\n"])
 
 
 def _cmd_dist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -27,7 +27,11 @@ on the symmetric image of (m, m'), which keeps the reversal symmetry
 bitwise.  Every other row, classical or bosonic, is swept over its
 support window by Miller's method for the minimal solution of a
 three-term recurrence in m' (Gautschi, SIAM Review 9, 1967): O(window)
-work instead of O(N min(m, N - m)), and no ln k! table.
+work instead of O(N min(m, N - m)), and no ln k! table.  Rare-event
+rows: the classical one and the bosonic one with m = 0 are the Poisson
+law, w = 0 is a point mass, and every other bosonic row takes the same
+window sweep with the Charlier recurrence, the N -> infinity limit of
+the bosonic one.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -69,12 +75,9 @@ MODEL_TAGS = frozenset({
 # Terms processed per kernel block; bounds peak temporaries to tens of MB.
 _BLOCK_TERMS = 1 << 21
 
-# Auto-truncation of the limit distributions: stop once this many
-# consecutive probabilities fall below _TAIL_PROB_EPS while the Poisson
-# weight remaining in the prefactor is below _TAIL_MASS_EPS.
+# Automatic supports of the limit distributions end once the mass left
+# beyond them is below this.
 _TAIL_PROB_EPS = 1e-14
-_TAIL_MASS_EPS = 1e-12
-_TAIL_RUN = 3
 
 # Bosonic rows with min(m, n - m) up to this count take the Jacobi-image
 # route, whose reversal symmetry is bitwise; the others, and every
@@ -93,11 +96,15 @@ _EDGE_DROP = 800.0
 _BOSE_OVERLAP = 8
 # The sweep rescales by a power of two once a value leaves [2**-500,
 # 2**500].  Below _TINY_P one step can grow a value by ~1/p, beyond that
-# headroom, so the sweep runs on x(k) * p**(k - k0) (sqrt(p) for bosons).
+# headroom, so the sweep runs on x(k) * p**(k - k0) (sqrt(p) for bosons,
+# sqrt(w) in the bosonic limit).
 _SWEEP_HUGE = 2.0 ** 500
 _SWEEP_TINY = 2.0 ** -500
 _TINY_P = 1e-100
 _LN2 = math.log(2.0)
+# Largest sd of a bosonic limit row: its sweep window, 2 (45 sd + 30)
+# points, then holds no more entries than a finite row at n = MAX_TABLE_N.
+_LIMIT_MAX_SD = (MAX_TABLE_N / 2.0 - _WINDOW_PAD) / _WINDOW_SDS
 
 # Points of the ln z grid searched for the bosonic limit's Chernoff tail
 # bound; any z > 1 gives a valid bound, so the grid only has to be dense
@@ -206,55 +213,11 @@ class OccupancyDistribution:
         return float(self.probs.sum())
 
 
-def _point_mass(target: int, lo: int, hi: int) -> np.ndarray:
-    out = np.zeros(hi - lo + 1)
-    if lo <= target <= hi:
-        out[target - lo] = 1.0
-    return out
-
-
 def _binomial_log_pmf(n: int, counts: np.ndarray, lp: float, l1p: float,
                       lf: np.ndarray) -> np.ndarray:
     """ln of C(n, counts) * p**counts * (1-p)**(n-counts)."""
     c = counts.astype(np.float64)
     return lf[n] - lf[counts] - lf[n - counts] + c * lp + (n - c) * l1p
-
-
-def _scaled_recurrence(deg: np.ndarray, first: np.ndarray,
-                       coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column degree member of a three-term recurrence, as (value,
-    offset) with the member equal to value * exp(offset).
-
-    The recurrence starts from 1 at degree 0 and ``first`` at degree 1;
-    ``coeffs(k)`` gives the (A, B, C) of degree k >= 2, scalars or
-    per-column arrays, in nxt = (A*curr - B*prev)/C.  All columns step
-    together and each is harvested when its degree is reached; the
-    running pair is rescaled out of the 1e150 range into the offset.
-    """
-    prev = np.ones(deg.size)
-    curr = first
-    offset = np.zeros(deg.size)
-    out_val = np.where(deg == 0, 1.0, 0.0)
-    out_off = np.zeros(deg.size)
-    take = deg == 1
-    out_val[take] = curr[take]
-    for k in range(2, int(deg.max(initial=0)) + 1):
-        a, b, c = coeffs(k)
-        nxt = (a * curr - b * prev) / c
-        prev = curr
-        curr = nxt
-        mag = np.maximum(np.abs(prev), np.abs(curr))
-        need = (mag > 1e150) | ((mag > 0.0) & (mag < 1e-150))
-        if need.any():
-            scale = np.where(need, mag, 1.0)
-            prev = prev / scale
-            curr = curr / scale
-            offset = offset + np.where(need, np.log(scale), 0.0)
-        take = deg == k
-        if take.any():
-            out_val[take] = curr[take]
-            out_off[take] = offset[take]
-    return out_val, out_off
 
 
 def _bose_log_range(n: int, m: int, p: float,
@@ -276,35 +239,49 @@ def _bose_log_range(n: int, m: int, p: float,
     lp = math.log(p)
     l1p = math.log1p(-p)
     mp = np.arange(mp_lo, mp_hi + 1)
-    cand_i = np.empty((4, mp.size), dtype=np.int64)
-    cand_f = np.empty((4, mp.size), dtype=np.int64)
-    cand_i[0] = m
-    cand_f[0] = mp
-    cand_i[1] = mp
-    cand_f[1] = m
-    cand_i[2] = n - m
-    cand_f[2] = n - mp
-    cand_i[3] = n - mp
-    cand_f[3] = n - m
+    # (initial, final) counts of the four images (m, m'), (m', m),
+    # (n-m, n-m') and (n-m', n-m)
+    at_m = np.full(mp.size, m)
+    cand_i = np.array([at_m, mp, n - at_m, n - mp])
+    cand_f = np.array([mp, at_m, n - mp, n - at_m])
     sel = np.argmin(cand_i, axis=0)
     cols = np.arange(mp.size)
     i = cand_i[sel, cols]
     f = cand_f[sel, cols]
-    # Jacobi P_i^(a, b)(x) with a = n - f - i, b = f - i
+    # Jacobi P_i^(a, b)(x) with a = n - f - i, b = f - i, by the degree
+    # recurrence over all columns at once.  Each column is harvested at
+    # its own degree i, as jac * exp(jac_off): the running pair is
+    # rescaled out of the 1e150 range into a per-column log offset.
     a = (n - f - i).astype(np.float64)
     b = (f - i).astype(np.float64)
     x = 2.0 * p - 1.0
     ab = a + b
     c3 = a * a - b * b
-
-    def coeffs(k):
+    prev = np.ones(mp.size)
+    curr = (a - b) / 2.0 + (ab + 2.0) * (x / 2.0)
+    offset = np.zeros(mp.size)
+    jac = np.where(i == 0, 1.0, 0.0)
+    jac_off = np.zeros(mp.size)
+    take = i == 1
+    jac[take] = curr[take]
+    for k in range(2, int(i.max(initial=0)) + 1):
         t = 2.0 * k + ab
-        return ((t - 1.0) * (t * (t - 2.0) * x + c3),
-                2.0 * (k + a - 1.0) * (k + b - 1.0) * t,
-                2.0 * k * (k + ab) * (t - 2.0))
-
-    jac, jac_off = _scaled_recurrence(
-        i, (a - b) / 2.0 + (ab + 2.0) * (x / 2.0), coeffs)
+        nxt = ((t - 1.0) * (t * (t - 2.0) * x + c3) * curr
+               - 2.0 * (k + a - 1.0) * (k + b - 1.0) * t * prev
+               ) / (2.0 * k * (k + ab) * (t - 2.0))
+        prev = curr
+        curr = nxt
+        mag = np.maximum(np.abs(prev), np.abs(curr))
+        need = (mag > 1e150) | ((mag > 0.0) & (mag < 1e-150))
+        if need.any():
+            scale = np.where(need, mag, 1.0)
+            prev = prev / scale
+            curr = curr / scale
+            offset = offset + np.where(need, np.log(scale), 0.0)
+        take = i == k
+        if take.any():
+            jac[take] = curr[take]
+            jac_off[take] = offset[take]
     with np.errstate(divide="ignore"):
         jac_log = np.log(np.abs(jac)) + jac_off
     logp = (lf[i] + lf[n - i] - lf[f] - lf[n - f]
@@ -312,10 +289,11 @@ def _bose_log_range(n: int, m: int, p: float,
     return np.where(jac == 0.0, -np.inf, logp)
 
 
-def _miller_sweep(n: int, m: int, p: float, bose: bool, sigma: float,
-                  k0: int, k1: int) -> tuple[array, list]:
-    """x(k0..k1) of the row (n, m, p) up to one common factor, from the
-    Miller start x(k0 - 1) = 0, x(k0) = 1, as (values, marks).
+def _row_coeffs(n: int, m: int, p: float, bose: bool, sigma: float,
+                k0: int, k1: int, down: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of the finite-n row (n, m, p) from k0 up to k1, or
+    from k1 down to k0 as the upward sweep of the relabelled row
+    (m -> n-m, m' -> n-m').
 
     Bosons sweep the Krawtchouk (Wigner-d) recurrence of the amplitudes,
     b(k+1) A(k+1) + b(k) A(k-1) = c(k) A(k) with b(k) = sqrt(k (n-k+1))
@@ -323,25 +301,48 @@ def _miller_sweep(n: int, m: int, p: float, bose: bool, sigma: float,
     Classical rows sweep the coefficients of G(z) = (p + (1-p) z)**m
     (1-p + p z)**(n-m), from (a + s z + a z**2) G' = (A + n a z) G with
     a = p(1-p), s = p**2 + (1-p)**2 and A = m (1-p)**2 + (n-m) p**2.
-    The sweep runs on x(k) * sigma**(k - k0).  values[j] * 2**e is that
-    product at k0 + j, for the last mark (i, e) with i <= j, e = 0 before
-    the first mark: once the larger of the running pair leaves
-    [2**-500, 2**500] both are rescaled by a power of two, exactly.
     """
+    if down:
+        m, k0, k1 = n - m, n - k1, n - k0
     q = 1.0 - p
     k = np.arange(k0, k1, dtype=np.float64)
     if bose:
         kb = np.arange(k0, k1 + 1, dtype=np.float64)
         b = np.sqrt(kb * (n + 1.0 - kb))
         c = ((k - m) - p * (2.0 * k - n)) * (sigma / math.sqrt(p * q))
-        alpha = c / b[1:]
-        beta = -(sigma * sigma) * b[:-1] / b[1:]
-    else:
-        # A - s k summed from exact integer differences, which keeps the
-        # coefficient accurate where A and s k are both large
-        a_sk = q * q * (m - k) + p * p * ((n - m) - k)
-        alpha = a_sk * (sigma / (p * q)) / (k + 1.0)
-        beta = (n + 1.0 - k) * (sigma * sigma) / (k + 1.0)
+        return c / b[1:], -(sigma * sigma) * b[:-1] / b[1:]
+    # A - s k summed from exact integer differences, which keeps the
+    # coefficient accurate where A and s k are both large
+    a_sk = q * q * (m - k) + p * p * ((n - m) - k)
+    return (a_sk * (sigma / (p * q)) / (k + 1.0),
+            (n + 1.0 - k) * (sigma * sigma) / (k + 1.0))
+
+
+def _charlier_coeffs(w: float, m: int, sigma: float, k0: int, k1: int,
+                     down: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of the bosonic rare-event row (w, m) from k0 up to
+    k1, or from k1 down to k0.
+
+    The n -> infinity limit of the Krawtchouk recurrence at n p = w is
+    the Charlier form sqrt(k+1) A(k+1) + sqrt(k) A(k-1)
+    = (k - m + w) / sqrt(w) A(k), with P = A**2 (Koekoek, Lesky &
+    Swarttouw, Hypergeometric Orthogonal Polynomials, Sec. 9.14).
+    """
+    k = np.arange(k1, k0, -1.0) if down else np.arange(k0, k1, 1.0)
+    below, above = np.sqrt(k), np.sqrt(k + 1.0)
+    to, back = (below, above) if down else (above, below)
+    c = ((k - m) + w) * (sigma / math.sqrt(w))
+    return c / to, -(sigma * sigma) * back / to
+
+
+def _miller_sweep(alpha: np.ndarray, beta: np.ndarray) -> tuple[array, list]:
+    """x(0..len(alpha)) of x(j+1) = alpha[j] x(j) + beta[j] x(j-1) from
+    the Miller start x(-1) = 0, x(0) = 1, as (values, marks).
+
+    values[j] * 2**e is x(j), for the last mark (i, e) with i <= j, e = 0
+    before the first mark: once the larger of the running pair leaves
+    [2**-500, 2**500] both are rescaled by a power of two, exactly.
+    """
     tiny, huge = _SWEEP_TINY, _SWEEP_HUGE
     values = array("d", [1.0])
     append = values.append
@@ -368,44 +369,32 @@ def _sweep_logs(values: array, marks: list, log_sigma: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = np.log(np.abs(vals))
     if marks:
-        shift = np.zeros(vals.size)
-        for start, e in marks:
-            shift[start:] = e
-        out += shift * _LN2
+        # each mark raises the exponent from its start on; integer-valued
+        # steps, so the running sum is exact
+        starts, shifts = zip(*marks)
+        steps = np.zeros(vals.size)
+        steps[list(starts)] = np.diff(shifts, prepend=0)
+        out += np.cumsum(steps) * _LN2
     if log_sigma:
         out -= np.arange(vals.size) * log_sigma
     return out
 
 
-def _sweep_row(n: int, m: int, p: float, bose: bool) -> tuple[int, np.ndarray]:
-    """(lo, probs): the row of either model over its support window
-    lo..lo+len(probs)-1, zero outside; requires 0 < m < n and 0 < p < 1.
+def _sweep_window(coeffs, mean: float, sd: float, split: float,
+                  sigma: float, overlap: int, bose: bool,
+                  n=math.inf) -> tuple[int, np.ndarray]:
+    """(lo, probs): a row over its support window lo..lo+len(probs)-1,
+    normalized to sum 1, zero outside; the support ends at n.
 
-    Miller's method for the minimal solution of a three-term recurrence
-    (Gautschi, SIAM Review 9, 1967): a forward sweep from the window's
-    low edge, and a backward one run as the forward sweep of the
-    relabelled row (m -> n-m, m' -> n-m'), each stable where it heads
-    into the bulk.  Classical sweeps meet at A/s, where the parasitic
-    alternating solution stops decaying; bosonic ones overlap around the
-    mean and are matched at the overlap point of largest magnitude.
-    Rows with m > n/2 are the reversed rows of n - m, so the relabel
-    symmetry holds bitwise.
+    Miller's method (Gautschi, SIAM Review 9, 1967): ``coeffs(k0, k1,
+    down)`` gives the (alpha, beta) of the sweep from k0 up to k1, or
+    down from k1 to k0, run on x(k) * sigma**(steps from its start).  The
+    sweeps start at the window's edges and head into the bulk, where
+    they are stable.  Classical ones meet at ``split``, where the
+    parasitic alternating solution stops decaying; bosonic amplitude
+    sweeps overlap by up to ``overlap`` points around it and are matched
+    at the overlap point of largest magnitude.
     """
-    if 2 * m > n:
-        lo, probs = _sweep_row(n, n - m, p, bose)
-        return n + 1 - lo - probs.size, probs[::-1]
-    q = 1.0 - p
-    mean = m * q + (n - m) * p
-    if bose:
-        sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
-        split = mean
-        sigma = math.sqrt(p) if p < _TINY_P else 1.0
-        overlap = min(_BOSE_OVERLAP, int(sd))
-    else:
-        sd = math.sqrt(n * p * q)
-        split = (m * q * q + (n - m) * p * p) / (p * p + q * q)
-        sigma = p if p < _TINY_P else 1.0
-        overlap = 0
     log_sigma = math.log(sigma)
     margin = _WINDOW_SDS * sd + _WINDOW_PAD
     while True:
@@ -413,10 +402,9 @@ def _sweep_row(n: int, m: int, p: float, bose: bool) -> tuple[int, np.ndarray]:
         hi = min(n, math.ceil(mean + margin))
         cut = min(max(math.floor(split), lo), hi)
         top, bottom = min(hi, cut + overlap), max(lo, cut - overlap)
-        fwd, fwd_marks = _miller_sweep(n, m, p, bose, sigma, lo, top)
+        fwd, fwd_marks = _miller_sweep(*coeffs(lo, top, False))
         # bwd[j] is x(hi - j)
-        bwd, bwd_marks = _miller_sweep(n, n - m, p, bose, sigma,
-                                       n - hi, n - bottom)
+        bwd, bwd_marks = _miller_sweep(*coeffs(bottom, hi, True))
         if (lo == 0 and hi == n and sigma == 1.0
                 and not fwd_marks and not bwd_marks):
             # one linear pass in plain floats, the common case at small n
@@ -446,24 +434,53 @@ def _sweep_row(n: int, m: int, p: float, bose: bool) -> tuple[int, np.ndarray]:
         margin *= 2.0
 
 
+def _sweep_row(n: int, m: int, p: float, bose: bool) -> tuple[int, np.ndarray]:
+    """(lo, probs) of a finite-n row with 0 < m < n and 0 < p < 1; rows
+    with m > n/2 are the reversed rows of n - m, so the relabel symmetry
+    holds bitwise."""
+    if 2 * m > n:
+        lo, probs = _sweep_row(n, n - m, p, bose)
+        return n + 1 - lo - probs.size, probs[::-1]
+    q = 1.0 - p
+    mean = m * q + (n - m) * p
+    if bose:
+        sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
+        split = mean
+        sigma = math.sqrt(p) if p < _TINY_P else 1.0
+        overlap = min(_BOSE_OVERLAP, int(sd))
+    else:
+        sd = math.sqrt(n * p * q)
+        split = (m * q * q + (n - m) * p * p) / (p * p + q * q)
+        sigma = p if p < _TINY_P else 1.0
+        overlap = 0
+    coeffs = partial(_row_coeffs, n, m, p, bose, sigma)
+    return _sweep_window(coeffs, mean, sd, split, sigma, overlap, bose, n)
+
+
+def _on_range(lo: int, row: np.ndarray, mp_lo: int, mp_hi: int) -> np.ndarray:
+    """Entries mp_lo..mp_hi of a row stored from lo, zero outside it."""
+    out = np.zeros(mp_hi - mp_lo + 1)
+    first, last = max(lo, mp_lo), min(lo + row.size - 1, mp_hi)
+    if first <= last:
+        out[first - mp_lo: last - mp_lo + 1] = row[first - lo: last - lo + 1]
+    return out
+
+
 def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
                            *, bose: bool) -> np.ndarray:
-    """Probabilities of final counts mp_lo..mp_hi for either model.
+    """Probabilities of final counts mp_lo..mp_hi for either model, by
+    the routes of the module docstring.
 
-    The degenerate cases share one code path across models: p in {0, 1}
-    gives a point mass, and m in {0, n} leaves a single pathway per
-    m_prime, where the bosonic pathway sum reduces to the same binomial
-    law as the classical one.  Bosonic rows with min(m, n-m) <= 20 take
-    the Jacobi-image route; every other row is swept over its support
-    window only.
+    m in {0, n} leaves a single pathway per m_prime, where the bosonic
+    pathway sum reduces to the same binomial law as the classical one.
     """
     if not 0 <= mp_lo <= mp_hi <= spec.n:
         raise ValueError(f"bad m_prime range {mp_lo}..{mp_hi} for n={spec.n}")
     n, m, p = spec.n, spec.m, spec.p
     if p == 0.0:
-        return _point_mass(m, mp_lo, mp_hi)
+        return _on_range(m, np.ones(1), mp_lo, mp_hi)
     if p == 1.0:
-        return _point_mass(n - m, mp_lo, mp_hi)
+        return _on_range(n - m, np.ones(1), mp_lo, mp_hi)
     if m in (0, n):
         counts = np.arange(mp_lo, mp_hi + 1)
         # m = n is the relabeled image of m = 0, evaluated through the
@@ -473,22 +490,13 @@ def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
                                         log_factorial_array(n)))
     if bose and min(m, n - m) <= _SWEEP_MIN_COUNT:
         return np.exp(_bose_log_range(n, m, p, mp_lo, mp_hi))
-    lo, row = _sweep_row(n, m, p, bose)
-    out = np.zeros(mp_hi - mp_lo + 1)
-    first, last = max(lo, mp_lo), min(lo + row.size - 1, mp_hi)
-    if first <= last:
-        out[first - mp_lo: last - mp_lo + 1] = row[first - lo: last - lo + 1]
-    return out
+    return _on_range(*_sweep_row(n, m, p, bose), mp_lo, mp_hi)
 
 
 def classical_exact(spec: TransferSpec) -> OccupancyDistribution:
-    """Exact finite-size distribution for distinguishable particles.
-
-    m in {0, n} gives the binomial law in closed form (ln k! table); every
-    other row with 0 < p < 1 comes from the two Miller sweeps of the
-    generating-function recurrence over the row's support window, in
-    O(window) steps, normalized to sum 1.  The 2**n enumeration in
-    bosecount.oracles is the cross-check.
+    """Exact finite-size distribution for distinguishable particles: the
+    binomial law for m in {0, n}, else the generating-function sweep.
+    The 2**n enumeration in bosecount.oracles is the cross-check.
     """
     probs = transfer_probabilities(spec, 0, spec.n, bose=False)
     meta = {"n": spec.n, "m": spec.m, "p": spec.p}
@@ -500,32 +508,32 @@ def bose_exact(spec: TransferSpec) -> OccupancyDistribution:
 
     Entries equal the alternating pathway sum, which cancels
     catastrophically away from the rare-event corner, so they come from
-    one of two stable routes.  Rows with min(m, n-m) <= 20 take the
-    symmetric-image Jacobi form entry by entry (m in {0, n}: the binomial
-    law), which keeps the reversal symmetry P(m'|m) = P(m|m') bitwise.
-    The others come from the Miller sweeps of the Krawtchouk recurrence
-    over the row's support window, in O(window) steps, normalized to sum
-    1.  bosecount.oracles carries the pathway sum and the untransformed
-    Jacobi form as scalar cross-check channels.
+    stable routes: the Jacobi image for min(m, n-m) <= 20, which keeps
+    the reversal symmetry P(m'|m) = P(m|m') bitwise, else the Krawtchouk
+    sweep.  bosecount.oracles carries the pathway sum and the
+    untransformed Jacobi form as scalar cross-check channels.
     """
     probs = transfer_probabilities(spec, 0, spec.n, bose=True)
     meta = {"n": spec.n, "m": spec.m, "p": spec.p}
     return OccupancyDistribution("bose-exact", 0, probs, meta)
 
 
-def _poisson_support_cap(w: float) -> int:
-    """Generous upper bound on the q needed to hold all but 1e-14 mass."""
-    return int(w + 60.0 * math.sqrt(w + 1.0)) + 1000
+def _poisson_row(w: float, last: int = 0) -> tuple[list, float]:
+    """Poisson pmf of mean w > 0 from q = 0 up to the first q >= last
+    whose remaining tail is bounded below _TAIL_PROB_EPS, and that bound.
 
-
-def _poisson_tail_bound(w: float, q: int, pmf_q: float) -> float:
-    """Upper bound on the Poisson mass beyond q, valid for q + 1 > w.
-
-    The term ratio is at most w/(q+1), so the tail is dominated by the
-    geometric series pmf(q) * r / (1 - r).
+    For q + 1 > w the term ratio is at most r = w/(q+1), so the tail is
+    below the geometric series pmf(q) r/(1 - r).
     """
-    r = w / (q + 1.0)
-    return pmf_q * r / (1.0 - r)
+    probs = []
+    for q in count():
+        pmf = math.exp(q * math.log(w) - w - log_factorial(q))
+        probs.append(pmf)
+        if q + 1 > w:
+            r = w / (q + 1.0)
+            bound = pmf * r / (1.0 - r)
+            if bound < _TAIL_PROB_EPS and q >= last:
+                return probs, bound
 
 
 def classical_rare_limit(spec: RareEventSpec) -> OccupancyDistribution:
@@ -536,54 +544,9 @@ def classical_rare_limit(spec: RareEventSpec) -> OccupancyDistribution:
     below 1e-14; that bound is recorded in meta["tail_bound"].
     """
     w, m = spec.w, spec.m
-    meta = {"w": w, "m": m, "tail_bound": 0.0}
-    if w == 0.0:
-        return OccupancyDistribution("classical-limit", m, np.ones(1), meta)
-    probs = []
-    q = 0
-    cap = _poisson_support_cap(w)
-    while True:
-        pmf = math.exp(q * math.log(w) - w - log_factorial(q))
-        probs.append(pmf)
-        if q + 1 > w:
-            bound = _poisson_tail_bound(w, q, pmf)
-            if bound < _TAIL_PROB_EPS:
-                break
-        q += 1
-        if q > cap:
-            raise RuntimeError("Poisson truncation failed to converge")
-    meta["tail_bound"] = bound
+    probs, bound = _poisson_row(w) if w > 0.0 else ([1.0], 0.0)
+    meta = {"w": w, "m": m, "tail_bound": bound}
     return OccupancyDistribution("classical-limit", m, np.array(probs), meta)
-
-
-def _bose_limit_entries(w: float, m: int, last: int):
-    """Entries m' = 0..last of the bosonic rare-event law, yielded in
-    order; w > 0.
-
-    Each equals w**q exp(-w) times the squared alternating sum over mu
-    of sqrt(m'! m!) (-w)**mu / (mu! (m-mu)! (q+mu)!), q = m' - m, which
-    collapses to w**(high-low) exp(-w) low!/high! L_low^(high-low)(w)**2
-    with low, high the smaller and larger of (m, m').  All Laguerre
-    factors come from one scaled recurrence over the columns, without
-    the cancellation that caps the literal sum near 1e-11 relative
-    accuracy; entries are exponentiated one at a time with ``math``, so
-    a caller may stop early.
-    """
-    mp = np.arange(last + 1)
-    gap = np.abs(mp - m).astype(np.float64)
-    lag, lag_off = _scaled_recurrence(
-        np.minimum(mp, m), 1.0 + gap - w,
-        lambda k: (2.0 * k - 1.0 + gap - w, k - 1.0 + gap, float(k)))
-    log_w = math.log(w)
-    for m_prime, value, offset in zip(range(last + 1), lag.tolist(),
-                                      lag_off.tolist()):
-        if value == 0.0:
-            yield 0.0
-            continue
-        low, high = min(m, m_prime), max(m, m_prime)
-        yield math.exp((high - low) * log_w - w
-                       + log_factorial(low) - log_factorial(high)
-                       + 2.0 * (math.log(abs(value)) + offset))
 
 
 def _rare_limit_tail_bound(w: float, m: int, m_prime_max: int) -> float:
@@ -616,53 +579,60 @@ def bose_rare_limit(spec: RareEventSpec,
                     m_prime_max: Optional[int] = None) -> OccupancyDistribution:
     """Bosonic rare-event distribution over m_prime = 0..m_prime_max.
 
-    With m_prime_max omitted the support is extended until three
-    consecutive probabilities drop below 1e-14 while the Poisson weight
-    left in the w**q exp(-w)/q! prefactor is below 1e-12.
-    meta["tail_bound"] is an upper bound on the mass beyond the support,
-    from the Chernoff bound of the exact generating function.
-    m_prime_max is capped at MAX_TABLE_N.
+    w = 0 is a point mass and m = 0 the Poisson law of
+    classical_rare_limit.  Every other row is swept over its support
+    window like the finite-n rows, with the Charlier amplitude recurrence
+    (mean m + w, sd**2 = w (1 + 2m)), normalized to sum 1; its m' = 0
+    entry is recapture_probability.  (w, m) whose window 2 (45 sd + 30)
+    would exceed MAX_TABLE_N points are rejected.
+
+    With m_prime_max omitted the support ends where the remaining mass
+    drops below 1e-14; an explicit m_prime_max (at most MAX_TABLE_N)
+    slices the row or pads it with zeros.  meta["tail_bound"] bounds the
+    mass beyond the support (Chernoff, from the generating function).
     """
     w, m = spec.w, spec.m
     meta = {"w": w, "m": m}
     if m_prime_max is not None and not 0 <= m_prime_max <= MAX_TABLE_N:
         raise ValueError(
             f"m_prime_max must lie in 0..{MAX_TABLE_N}, got {m_prime_max!r}")
+    sd = math.sqrt(w * (1.0 + 2.0 * m))
+    if sd > _LIMIT_MAX_SD:
+        raise ValueError(
+            f"w={w!r}, m={m} needs a sweep window of more than {MAX_TABLE_N} "
+            f"points: w (1 + 2m) must be at most {_LIMIT_MAX_SD ** 2:.6g}")
     if w == 0.0:
-        hi = m if m_prime_max is None else m_prime_max
-        probs = _point_mass(m, 0, hi)
-        meta["tail_bound"] = 0.0 if m <= hi else 1.0
-        return OccupancyDistribution("bose-limit", 0, probs, meta)
-    auto = m_prime_max is None
-    last = m + _poisson_support_cap(w) if auto else m_prime_max
-    probs = []
-    small_run = 0
-    for mp, value in enumerate(_bose_limit_entries(w, m, last)):
-        probs.append(value)
-        if not auto:
-            continue
-        q = mp - m
-        small_run = small_run + 1 if value < _TAIL_PROB_EPS else 0
-        if small_run >= _TAIL_RUN and q + 1 > w:
-            pmf = math.exp(q * math.log(w) - w - log_factorial(q))
-            if _poisson_tail_bound(w, q, pmf) < _TAIL_MASS_EPS:
-                break
+        lo, row = m, np.ones(1)
+    elif m == 0:
+        lo, row = 0, np.array(_poisson_row(w, m_prime_max or 0)[0])
     else:
-        if auto:
-            raise RuntimeError("limit truncation failed to converge")
-    meta["tail_bound"] = _rare_limit_tail_bound(w, m, len(probs) - 1)
-    return OccupancyDistribution("bose-limit", 0, np.array(probs), meta)
+        sigma = math.sqrt(w) if w < _TINY_P else 1.0
+        lo, row = _sweep_window(partial(_charlier_coeffs, w, m, sigma),
+                                m + w, sd, m + w, sigma,
+                                min(_BOSE_OVERLAP, int(sd)), True)
+        if lo == 0:
+            row[0] = recapture_probability(spec)
+        if m_prime_max is None:
+            # drop the trailing entries whose mass sums below the floor
+            drop = int(np.searchsorted(np.cumsum(row[::-1]), _TAIL_PROB_EPS))
+            row = row[:row.size - drop]
+    last = lo + row.size - 1 if m_prime_max is None else m_prime_max
+    probs = _on_range(lo, row, 0, last)
+    meta["tail_bound"] = (_rare_limit_tail_bound(w, m, last) if w > 0.0
+                          else float(last < m))
+    return OccupancyDistribution("bose-limit", 0, probs, meta)
 
 
 def recapture_probability(spec: RareEventSpec) -> float:
     """Probability that the marked mode empties completely: w**m exp(-w)/m!.
 
-    Shares the evaluation path of the m_prime = 0 entry of
-    bose_rare_limit, so the two agree bit for bit.
+    Evaluated like the Poisson entries of classical_rare_limit; the
+    m_prime = 0 entry of bose_rare_limit is this value bit for bit.
     """
-    if spec.w == 0.0:
-        return 1.0 if spec.m == 0 else 0.0
-    return next(_bose_limit_entries(spec.w, spec.m, 0))
+    w, m = spec.w, spec.m
+    if w == 0.0:
+        return 1.0 if m == 0 else 0.0
+    return math.exp(m * math.log(w) - w - log_factorial(m))
 
 
 _FIGURE_GRID_MAX = 12   # m, m' range of the surface tables

@@ -148,8 +148,9 @@ class TestDist:
         ["dist", "--model", "bose", "--limit", "--m", "3", "--w", "3", "--mmax", "4194305"],
         ["dist", "--model", "classical", "--limit", "--w", "4194305"],
         ["dist", "--model", "bose", "--limit", "--w", "4194305"],
+        ["dist", "--model", "bose", "--limit", "--m", "4194304", "--w", "4194304"],
     ], ids=["dist-bose", "dist-classical", "figure", "plan", "limit-mmax",
-            "limit-classical-w", "limit-bose-w"])
+            "limit-classical-w", "limit-bose-w", "limit-bose-window"])
     def test_n_above_table_cap_exits_2_before_any_table(self, capsys, monkeypatch, argv):
         from bosecount import distributions
 

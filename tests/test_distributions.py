@@ -86,40 +86,17 @@ def rare_limit_entry_pathway_sum(w: float, m: int, m_prime: int) -> float:
     return math.exp(q * lw - w + 2.0 * s.log_magnitude)
 
 
-def laguerre_log_scalar(degree: int, a: int, x: float) -> tuple[float, float]:
-    """(ln|L|, sign) of the associated Laguerre polynomial by the scaled
-    degree recurrence, one entry at a time: the scalar evaluation the
-    vectorized limit kernel must reproduce bit for bit."""
-    if degree == 0:
-        return 0.0, 1.0
-    prev = 1.0
-    curr = 1.0 + a - x
-    offset = 0.0
-    for k in range(1, degree):
-        nxt = ((2.0 * k + 1.0 + a - x) * curr - (k + a) * prev) / (k + 1.0)
-        prev, curr = curr, nxt
-        scale = max(abs(prev), abs(curr))
-        if scale > 1e150 or (0.0 < scale < 1e-150):
-            prev /= scale
-            curr /= scale
-            offset += math.log(scale)
-    if curr == 0.0:
-        return -math.inf, 0.0
-    return math.log(abs(curr)) + offset, math.copysign(1.0, curr)
-
-
-def rare_limit_entry_scalar(w: float, m: int, m_prime: int) -> float:
-    """One bosonic limit entry through laguerre_log_scalar."""
-    q = m_prime - m
-    if w == 0.0:
-        return 1.0 if q == 0 else 0.0
+def limit_entry_mp(w: float, m: int, m_prime: int):
+    """Bosonic limit entry w**(h-l) exp(-w) l!/h! L_l^(h-l)(w)**2, l and h
+    the smaller and larger of (m, m_prime), with mpmath's Laguerre
+    polynomial (which raises its working precision past the cancellation;
+    a sum below 2**-300 of its largest term is an exact node, taken as 0)."""
     low, high = min(m, m_prime), max(m, m_prime)
-    lag_log, lag_sign = laguerre_log_scalar(low, high - low, w)
-    if lag_sign == 0.0:
-        return 0.0
-    return math.exp((high - low) * math.log(w) - w
-                    + log_factorial(low) - log_factorial(high)
-                    + 2.0 * lag_log)
+    with mpmath.workdps(30):
+        ww = mpmath.mpf(w)
+        lag = mpmath.laguerre(low, high - low, ww, zeroprec=300)
+        return +(ww ** (high - low) * mpmath.exp(-ww) * lag ** 2
+                 * mpmath.factorial(low) / mpmath.factorial(high))
 
 
 def laguerre_exact(degree: int, a: int, x: Fraction) -> Fraction:
@@ -206,9 +183,10 @@ class TestSpecs:
         lambda: RareEventSpec(3.0, 2 ** 22 + 1),
         lambda: RareEventSpec(2 ** 22 + 1.0, 0),
         lambda: bose_rare_limit(RareEventSpec(3.0, 3), 2 ** 22 + 1),
+        lambda: bose_rare_limit(RareEventSpec(2.0 ** 22, 2 ** 22)),
     ], ids=["n-float", "m-bool", "n-bool", "m-integral-float", "limit-m-float",
             "limit-m-bool", "nan-prob", "n-above-table", "limit-m-above-table",
-            "limit-w-above-table", "limit-mmax-above-table"])
+            "limit-w-above-table", "limit-mmax-above-table", "limit-window-above-table"])
     def test_rejects_malformed_inputs(self, make):
         with pytest.raises(ValueError):
             make()
@@ -724,16 +702,64 @@ class TestBoseRareLimit:
 
     @pytest.mark.parametrize("w", [0.5, 3.0, 20.0])
     @pytest.mark.parametrize("m", [0, 3, 30, 300, 1000])
-    def test_bitwise_equal_to_scalar_recurrence(self, w, m):
-        # both truncation modes; m = 1000 reaches the rescaling branch
+    def test_matches_mpmath_laguerre(self, w, m):
+        # both truncation modes come from one row; sampled bulk entries lie
+        # within 1e-11 of the local envelope (the benchmark's limit entry
+        # tolerance), and row 0 is the recapture closed form
         spec = RareEventSpec(w, m)
         auto = bose_rare_limit(spec).probs
         explicit = bose_rare_limit(spec, m + 20).probs
-        ref = [rare_limit_entry_scalar(w, m, mp)
-               for mp in range(max(len(auto), len(explicit)))]
-        assert auto.tolist() == ref[:len(auto)]
-        assert explicit.tolist() == ref[:len(explicit)]
-        assert recapture_probability(spec) == ref[0]
+        common = min(auto.size, explicit.size)
+        assert explicit[:common].tolist() == auto[:common].tolist()
+        row = auto if auto.size >= explicit.size else explicit
+        bulk = np.flatnonzero(row > 1e-6 * row.max())
+        picks = bulk[np.linspace(0, bulk.size - 1, min(bulk.size, 25)).astype(int)]
+        for k in picks.tolist():
+            ref = limit_entry_mp(w, m, k)
+            scale = max(ref, mpmath.sqrt(limit_entry_mp(w, m, k + 1)
+                                         * (limit_entry_mp(w, m, k - 1) if k else 0)))
+            assert abs(row[k] - ref) <= 1e-11 * scale, k
+        assert recapture_probability(spec) == auto[0] == explicit[0]
+
+    @pytest.mark.parametrize("w", [0.5, 3.0, 20.0, 1e-200])
+    def test_empty_start_is_the_classical_poisson_row(self, w):
+        spec = RareEventSpec(w, 0)
+        poisson = classical_rare_limit(spec).probs.tolist()
+        assert bose_rare_limit(spec).probs.tolist() == poisson
+        padded = bose_rare_limit(spec, len(poisson) + 5).probs.tolist()
+        assert padded[:len(poisson)] == poisson
+
+    @pytest.mark.parametrize("w", [5e-324, 1e-200])
+    @pytest.mark.parametrize("m", [0, 3, 50])
+    def test_vanishing_w_is_a_point_mass(self, w, m):
+        for m_prime_max in (None, m + 5):
+            probs = bose_rare_limit(RareEventSpec(w, m), m_prime_max).probs
+            assert probs.max() <= 1.0
+            assert abs(probs[m] - 1.0) <= 1e-15
+            assert np.abs(np.delete(probs, m)).max(initial=0.0) <= 1e-15
+
+    @pytest.mark.parametrize("m", [10 ** 4, 10 ** 5])
+    def test_large_m_normalized_with_exact_moments(self, m):
+        w = 3.0
+        spec = RareEventSpec(w, m)
+        probs = bose_rare_limit(spec).probs
+        k = np.arange(probs.size, dtype=np.float64)
+        mean, var = m + w, w * (1.0 + 2.0 * m)
+        assert abs(1.0 - math.fsum(probs)) <= 1e-10
+        assert abs(math.fsum(k * probs) - mean) <= 1e-9 * mean
+        assert abs(math.fsum((k - mean) ** 2 * probs) - var) <= 1e-9 * var
+        assert probs[0] == recapture_probability(spec)
+
+    def test_explicit_support_slices_or_pads_the_window(self):
+        spec = RareEventSpec(3.0, 3)
+        short = bose_rare_limit(spec, 40).probs
+        long = bose_rare_limit(spec, 5000).probs
+        assert long.size == 5001 and long[:41].tolist() == short.tolist()
+        assert not long[1000:].any()
+        # m' = 500 lies below the window of m = 1000
+        below = bose_rare_limit(RareEventSpec(3.0, 1000), 500)
+        assert below.probs.size == 501 and not below.probs.any()
+        assert below.meta["tail_bound"] == 1.0
 
     def test_matches_finite_n_at_large_n(self):
         n = 10 ** 5
