@@ -72,9 +72,6 @@ MODEL_TAGS = frozenset({
     "empirical",
 })
 
-# Terms processed per kernel block; bounds peak temporaries to tens of MB.
-_BLOCK_TERMS = 1 << 21
-
 # Automatic supports of the limit distributions end once the mass left
 # beyond them is below this.
 _TAIL_PROB_EPS = 1e-14
@@ -105,6 +102,13 @@ _LN2 = math.log(2.0)
 # Largest sd of a bosonic limit row: its sweep window, 2 (45 sd + 30)
 # points, then holds no more entries than a finite row at n = MAX_TABLE_N.
 _LIMIT_MAX_SD = (MAX_TABLE_N / 2.0 - _WINDOW_PAD) / _WINDOW_SDS
+
+# Most terms the Chernoff tail bound sums in one block over every k and
+# z; its temporaries then stay at tens of MB.
+_BLOCK_TERMS = 1 << 21
+# Terms per chunk of a banded Chernoff sum; its 64 KiB temporaries stay
+# below the allocator's default mmap threshold (128 KiB).
+_BAND_CHUNK = 1 << 13
 
 # Points of the ln z grid searched for the bosonic limit's Chernoff tail
 # bound; any z > 1 gives a valid bound, so the grid only has to be dense
@@ -549,6 +553,43 @@ def classical_rare_limit(spec: RareEventSpec) -> OccupancyDistribution:
     return OccupancyDistribution("classical-limit", m, np.array(probs), meta)
 
 
+def _laguerre_log_terms(m: int, k: np.ndarray, log_x: np.ndarray | float) -> np.ndarray:
+    """ln[C(m,k) x**k / k!], the terms of L_m(-x), from ln k! at these k
+    alone (log_factorial, bitwise equal to the table's entries)."""
+    def lf(ks: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(log_factorial, ks.tolist()), np.float64, ks.size)
+
+    return log_factorial(m) - lf(m - k) - 2.0 * lf(k) + k * log_x
+
+
+def _chernoff_bands(m: int, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per x, the first and last k whose term of L_m(-x) lies within
+    _EDGE_DROP of the term at the peak, and that term.
+
+    The terms are concave in k and peak where (m-k) x ~ (k+1)**2, so
+    each edge is found by bisection on its side of the peak.
+    """
+    inv_x = np.exp(np.minimum(-log_x, 690.0))
+    root = 2.0 * (m + 1) / (1.0 + np.sqrt(1.0 + 4.0 * (m + 1) * inv_x))
+    peak = np.clip(np.ceil(root).astype(np.int64) - 1, 0, m)
+    top = _laguerre_log_terms(m, peak, log_x)
+    floor = top - _EDGE_DROP
+    # each search keeps its found end at or above floor, so finished
+    # searches stay put while the others go on
+    lo, hi = np.zeros_like(peak), peak
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        below = _laguerre_log_terms(m, mid, log_x) < floor
+        lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+    first = lo
+    lo, hi = peak, np.full_like(peak, m)
+    while (lo < hi).any():
+        mid = (lo + hi + 1) // 2
+        below = _laguerre_log_terms(m, mid, log_x) < floor
+        lo, hi = np.where(below, lo, mid), np.where(below, mid - 1, hi)
+    return first, lo, top
+
+
 def _rare_limit_tail_bound(w: float, m: int, m_prime_max: int) -> float:
     """Chernoff bound on the bosonic limit mass beyond m_prime_max; w > 0.
 
@@ -557,22 +598,33 @@ def _rare_limit_tail_bound(w: float, m: int, m_prime_max: int) -> float:
     L_m(-x) = sum over k of C(m,k) x**k / k! has only positive terms.  So
     P(m' > M) <= G(z) z**-(M+1) for every z > 1; the smallest value on a
     geometric grid of ln z is returned, capped at 1.
+
+    Up to _BLOCK_TERMS terms in all, every k of every z is summed in one
+    block, over the ln k! table.  Beyond that each z sums only its band
+    from _chernoff_bands, in chunks of _BAND_CHUNK terms; the terms
+    outside the band underflow to 0 against its peak.
     """
     hi = min(700.0, 1.0 + math.log1p((m_prime_max + 1) / w))
     log_z = np.geomspace(1e-3, hi, _CHERNOFF_GRID)
     z_minus_1 = np.expm1(log_z)
     log_x = math.log(w) + 2.0 * np.log(z_minus_1) - log_z
-    lf = log_factorial_array(m)
-    k = np.arange(m + 1)
-    log_coef = (lf[m] - lf[m - k] - 2.0 * lf[k])[:, None]
-    log_lag = np.empty(_CHERNOFF_GRID)
-    step = max(1, _BLOCK_TERMS // (m + 1))
-    for lo in range(0, _CHERNOFF_GRID, step):
-        terms = log_coef + k[:, None] * log_x[lo: lo + step]
+    if (m + 1) * _CHERNOFF_GRID <= _BLOCK_TERMS:
+        lf = log_factorial_array(m)
+        k = np.arange(m + 1)
+        terms = (lf[m] - lf[m - k] - 2.0 * lf[k])[:, None] + k[:, None] * log_x
         top = terms.max(axis=0)
-        log_lag[lo: lo + step] = top + np.log(np.exp(terms - top).sum(axis=0))
+        log_lag = top + np.log(np.exp(terms - top).sum(axis=0))
+    else:
+        first, last, top = _chernoff_bands(m, log_x)
+        log_lag = np.empty(_CHERNOFF_GRID)
+        for i in range(_CHERNOFF_GRID):
+            total = 0.0
+            for lo in range(first[i], last[i] + 1, _BAND_CHUNK):
+                k = np.arange(lo, min(lo + _BAND_CHUNK, last[i] + 1))
+                total += float(np.exp(_laguerre_log_terms(m, k, log_x[i]) - top[i]).sum())
+            log_lag[i] = top[i] + math.log(total)
     log_bound = (m - m_prime_max - 1) * log_z + w * z_minus_1 + log_lag
-    return min(1.0, math.exp(float(log_bound.min())))
+    return math.exp(min(0.0, float(log_bound.min())))
 
 
 def bose_rare_limit(spec: RareEventSpec,

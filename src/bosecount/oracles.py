@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -145,9 +144,14 @@ def log_binomial(n: int, k: int) -> SignedLog:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return _ZERO
+    return SignedLog(1, _log_comb(n, k))
+
+
+def _log_comb(n: int, k: int) -> float:
+    """ln C(n, k) for 0 <= k <= n, the magnitude of log_binomial."""
     if min(k, n - k) <= _EXACT_COMB_LIMIT:
-        return SignedLog(1, math.log(math.comb(n, k)))
-    return SignedLog(1, log_factorial(n) - log_factorial(k) - log_factorial(n - k))
+        return math.log(math.comb(n, k))
+    return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
 def generalized_log_binomial(top: int, k: int) -> SignedLog:
@@ -156,14 +160,17 @@ def generalized_log_binomial(top: int, k: int) -> SignedLog:
     Negative tops follow the reflection C(-t, k) = (-1)**k C(t+k-1, k),
     which is the value of the falling-factorial definition.
     """
-    if k < 0:
-        return _ZERO
+    sign, mag = _signed_log_comb(top, k)
+    return SignedLog(sign, mag) if sign else _ZERO
+
+
+def _signed_log_comb(top: int, k: int) -> tuple[int, float]:
+    """(sign, ln|C(top, k)|) of generalized_log_binomial; sign 0 at zero."""
+    if k < 0 or k > top >= 0:
+        return 0, 0.0
     if top >= 0:
-        return log_binomial(top, k)
-    mag = log_binomial(-top + k - 1, k)
-    if k % 2:
-        return -mag
-    return mag
+        return 1, _log_comb(top, k)
+    return (-1 if k % 2 else 1), _log_comb(-top + k - 1, k)
 
 
 def signed_log_sum(terms: Iterable[SignedLog]) -> SignedLog:
@@ -201,11 +208,6 @@ class SizeLimit(ValueError):
     """Problem size exceeds what the oracle is allowed to brute-force."""
 
 
-def _popcounts(size: int) -> np.ndarray:
-    masks = np.arange(size, dtype=np.uint64)
-    return np.bitwise_count(masks).astype(np.int64)
-
-
 def enumerate_distinguishable(spec: TransferSpec) -> OccupancyDistribution:
     """Classical distribution by summing all 2**n flip/stay assignments.
 
@@ -232,31 +234,29 @@ def enumerate_bose_first_quantized(n: int, m: int,
     """Bosonic distribution from the symmetrized 2**n product-space state.
 
     Builds the equal-amplitude superposition over all C(n, m) placements
-    of the m marked particles, applies the n-fold tensor power of the
-    one-particle matrix, and projects on each normalized symmetric
-    final-count state.  Basis digit 1 means "in the marked mode".
+    of the m marked particles, applies the one-particle matrix to each
+    particle in turn (the n-fold tensor power, in O(n 2**n) work and
+    without forming the 2**n x 2**n matrix), and projects on each
+    normalized symmetric final-count state.  Basis digit 1 means "in the
+    marked mode".
     """
     if n > _ENUM_BOSE_MAX:
         raise SizeLimit(f"n={n} exceeds the product-space cap {_ENUM_BOSE_MAX}")
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in 0..n, got {m!r}")
-    dim = 1 << n
-    psi = np.zeros(dim, dtype=np.complex128)
-    amp = 1.0 / math.sqrt(math.comb(n, m))
-    for positions in combinations(range(n), m):
-        index = sum(1 << j for j in positions)
-        psi[index] = amp
+    popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    psi = np.where(popc == m, 1.0 / math.sqrt(math.comb(n, m)), 0.0)
     single = np.array([[u.u22, u.u21],
                        [u.u12, u.u11]], dtype=np.complex128)
-    full = np.ones((1, 1), dtype=np.complex128)
     for _ in range(n):
-        full = np.kron(full, single)
-    psi = full @ psi
-    popc = _popcounts(dim)
-    probs = np.empty(n + 1)
-    for m_prime in range(n + 1):
-        projected = psi[popc == m_prime].sum() / math.sqrt(math.comb(n, m_prime))
-        probs[m_prime] = abs(projected) ** 2
+        # act on the leading particle; the transpose rotates it to the
+        # back, so after n steps every particle is done and in place
+        psi = (single @ psi.reshape(2, -1)).T
+    # one pass over the basis states grouped by final count
+    counts = [math.comb(n, k) for k in range(n + 1)]
+    grouped = psi.reshape(-1)[np.argsort(popc, kind="stable")]
+    sums = np.add.reduceat(grouped, np.cumsum([0] + counts[:-1]))
+    probs = np.abs(sums) ** 2 / counts
     meta = {"n": n, "m": m, "p": u.p, "source": "enumerate-bose-first-quantized"}
     return OccupancyDistribution("oracle", 0, probs, meta)
 
@@ -357,12 +357,10 @@ def _pathway_sum_probability(spec: TransferSpec, m_prime: int,
     l1p = math.log1p(-p)
     terms = []
     for mu in range(max(0, -q), min(m, n - m - q) + 1):
-        mag = (log_binomial(m, mu).log_magnitude
-               + log_binomial(n - m, q + mu).log_magnitude
+        mag = (_log_comb(m, mu) + _log_comb(n - m, q + mu)
                + 0.5 * ((q + 2 * mu) * lp + (n - q - 2 * mu) * l1p))
         terms.append(SignedLog(-1 if mu % 2 else 1, mag))
-    pref = (log_binomial(n, m).log_magnitude
-            - log_binomial(n, m_prime).log_magnitude)
+    pref = _log_comb(n, m) - _log_comb(n, m_prime)
     if abs_tol is not None:
         log_abs_sum = signed_log_sum(
             [SignedLog(1, t.log_magnitude) for t in terms]).log_magnitude
@@ -418,10 +416,18 @@ def _jacobi_finite_sum(degree: int, a: int, b: int, x: float) -> SignedLog:
     half_plus = SignedLog.from_linear((x + 1.0) / 2.0)
     terms = []
     for s in range(degree + 1):
-        terms.append(generalized_log_binomial(degree + a, degree - s)
-                     * generalized_log_binomial(degree + b, s)
-                     * half_minus.pow(s)
-                     * half_plus.pow(degree - s))
+        r = degree - s
+        sign_a, log_a = _signed_log_comb(degree + a, r)
+        sign_b, log_b = _signed_log_comb(degree + b, s)
+        # the factors multiply as SignedLogs do, with 0**0 = 1
+        if (not sign_a or not sign_b or (s and not half_minus.sign)
+                or (r and not half_plus.sign)):
+            continue
+        sign = (sign_a * sign_b * (half_minus.sign if s % 2 else 1)
+                * (half_plus.sign if r % 2 else 1))
+        mag = (log_a + log_b + (s * half_minus.log_magnitude if s else 0.0)
+               + (r * half_plus.log_magnitude if r else 0.0))
+        terms.append(SignedLog(sign, mag))
     return signed_log_sum(terms)
 
 

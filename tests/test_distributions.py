@@ -19,8 +19,13 @@ from bosecount.distributions import (
     recapture_probability,
     transfer_probabilities,
 )
-from bosecount.distributions import _SWEEP_MIN_COUNT, _bose_log_range, _sweep_row
-from bosecount.numerics import log_factorial
+from bosecount.distributions import (
+    _SWEEP_MIN_COUNT,
+    _bose_log_range,
+    _rare_limit_tail_bound,
+    _sweep_row,
+)
+from bosecount.numerics import log_factorial, log_factorial_array
 from bosecount.oracles import (
     SignedLog,
     _pathway_sum_probability,
@@ -103,6 +108,26 @@ def laguerre_exact(degree: int, a: int, x: Fraction) -> Fraction:
     return sum(Fraction((-1) ** k * math.comb(degree + a, degree - k),
                         math.factorial(k)) * x ** k
                for k in range(degree + 1))
+
+
+def chernoff_every_term(w: float, m: int, m_prime_max: int) -> float:
+    """The Chernoff tail bound of bose_rare_limit summing all m + 1 terms of
+    L_m(-x) at every z, in blocks of 2**21 terms."""
+    hi = min(700.0, 1.0 + math.log1p((m_prime_max + 1) / w))
+    log_z = np.geomspace(1e-3, hi, 64)
+    z_minus_1 = np.expm1(log_z)
+    log_x = math.log(w) + 2.0 * np.log(z_minus_1) - log_z
+    lf = log_factorial_array(m)
+    k = np.arange(m + 1)
+    log_coef = (lf[m] - lf[m - k] - 2.0 * lf[k])[:, None]
+    log_lag = np.empty(64)
+    step = max(1, (1 << 21) // (m + 1))
+    for lo in range(0, 64, step):
+        terms = log_coef + k[:, None] * log_x[lo: lo + step]
+        top = terms.max(axis=0)
+        log_lag[lo: lo + step] = top + np.log(np.exp(terms - top).sum(axis=0))
+    log_bound = (m - m_prime_max - 1) * log_z + w * z_minus_1 + log_lag
+    return min(1.0, math.exp(float(log_bound.min())))
 
 
 def classical_pathway_sum(n: int, m: int, p: float, m_prime: int) -> float:
@@ -760,6 +785,30 @@ class TestBoseRareLimit:
         below = bose_rare_limit(RareEventSpec(3.0, 1000), 500)
         assert below.probs.size == 501 and not below.probs.any()
         assert below.meta["tail_bound"] == 1.0
+
+    @pytest.mark.parametrize("w, m, m_prime_max", [
+        (3.0, 3, 20), (20.0, 300, 600), (0.5, 1000, 1040), (3.0, 30000, 30603)])
+    def test_tail_bound_unbanded_equals_every_term(self, w, m, m_prime_max):
+        # up to 2**21 terms in all, every k of every z is summed
+        bound = _rare_limit_tail_bound(w, m, m_prime_max)
+        assert 0.0 < bound < 1.0
+        assert bound == chernoff_every_term(w, m, m_prime_max)
+
+    @pytest.mark.parametrize("w, m, m_prime_max", [
+        (3.0, 40000, 40695), (3.0, 40000, 40834), (0.5, 100000, 100537),
+        (20.0, 50000, 52020), (20.0, 50000, 52420)])
+    def test_banded_tail_bound_matches_every_term(self, w, m, m_prime_max):
+        # beyond 2**21 terms each z sums only the band near its largest
+        # term; the terms left out underflow to 0 against it
+        ref = chernoff_every_term(w, m, m_prime_max)
+        assert 1e-200 < ref < 0.1
+        assert _rare_limit_tail_bound(w, m, m_prime_max) == pytest.approx(ref, rel=1e-12)
+
+    def test_tail_bound_of_a_short_support_is_one(self):
+        # the Chernoff exponent exceeds the double range here; the bound
+        # saturates at 1 instead of overflowing
+        d = bose_rare_limit(RareEventSpec(4194304.0, 1), 0)
+        assert d.probs.size == 1 and d.meta["tail_bound"] == 1.0
 
     def test_matches_finite_n_at_large_n(self):
         n = 10 ** 5

@@ -1,17 +1,25 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from bosecount.distributions import TransferSpec, bose_exact, classical_exact
 from bosecount.dynamics import TwoLevelParams, evolve, solve_pulse_duration
+from bosecount.numerics import log_factorial
 from bosecount.oracles import (
+    SignedLog,
     SizeLimit,
+    bose_amplitude_probability,
+    bose_jacobi_probability,
     enumerate_bose_first_quantized,
     enumerate_distinguishable,
     fock_evolve,
+    jacobi_polynomial,
     mc_sample_classical,
+    signed_log_sum,
 )
+from bosecount.verification import DEFAULT_P_GRID
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -22,6 +30,24 @@ PARAMS = TwoLevelParams(epsilon=0.2, xi=1.0, eta=0.5)
 def unitary_with_p(p: float, params: TwoLevelParams = PARAMS):
     tau = solve_pulse_duration(params, p)
     return evolve(params, tau), tau
+
+
+def kronecker_first_quantized(n: int, m: int, u) -> np.ndarray:
+    """The product-space oracle through the explicit 2**n x 2**n Kronecker
+    power of the one-particle matrix, applied as one dense matvec."""
+    dim = 1 << n
+    psi = np.zeros(dim, dtype=np.complex128)
+    for positions in combinations(range(n), m):
+        psi[sum(1 << j for j in positions)] = 1.0 / math.sqrt(math.comb(n, m))
+    single = np.array([[u.u22, u.u21],
+                       [u.u12, u.u11]], dtype=np.complex128)
+    full = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(n):
+        full = np.kron(full, single)
+    psi = full @ psi
+    popc = np.bitwise_count(np.arange(dim, dtype=np.uint64)).astype(np.int64)
+    return np.array([abs(psi[popc == k].sum() / math.sqrt(math.comb(n, k))) ** 2
+                     for k in range(n + 1)])
 
 
 class TestEnumerateDistinguishable:
@@ -100,6 +126,18 @@ class TestEnumerateBoseFirstQuantized:
         u, _ = unitary_with_p(0.3)
         with pytest.raises(SizeLimit):
             enumerate_bose_first_quantized(11, 2, u)
+        assert len(enumerate_bose_first_quantized(10, 2, u).probs) == 11
+
+    def test_matches_kronecker_power(self):
+        # applying the one-particle matrix particle by particle is the
+        # n-fold tensor power, to roundoff
+        for p in DEFAULT_P_GRID:
+            u, _ = unitary_with_p(p)
+            for n in range(1, 9):
+                for m in range(n + 1):
+                    got = enumerate_bose_first_quantized(n, m, u).probs
+                    ref = kronecker_first_quantized(n, m, u)
+                    assert np.abs(got - ref).max() < 1e-14
 
     def test_normalized(self):
         u, _ = unitary_with_p(0.7)
@@ -167,6 +205,99 @@ class TestThreeWayAgreement:
                     assert np.abs(first - second).max() < 1e-10
                     assert np.abs(first - closed).max() < 1e-10
                     assert np.abs(second - closed).max() < 1e-10
+
+
+def signed_comb(top: int, k: int) -> SignedLog:
+    """C(top, k) for integer top and k >= 0, as the log of the exact integer."""
+    if top >= 0:
+        value = math.comb(top, k)
+        return SignedLog(1, math.log(value)) if value else SignedLog.zero()
+    return SignedLog(-1 if k % 2 else 1, math.log(math.comb(-top + k - 1, k)))
+
+
+def pathway_sum_per_factor(spec: TransferSpec, m_prime: int) -> float:
+    """bose_amplitude_probability with one SignedLog per factor."""
+    n, m, p = spec.n, spec.m, spec.p
+    if p == 0.0:
+        return 1.0 if m_prime == m else 0.0
+    if p == 1.0:
+        return 1.0 if m_prime == n - m else 0.0
+    q = m_prime - m
+    lp = math.log(p)
+    l1p = math.log1p(-p)
+    terms = []
+    for mu in range(max(0, -q), min(m, n - m - q) + 1):
+        mag = (signed_comb(m, mu).log_magnitude
+               + signed_comb(n - m, q + mu).log_magnitude
+               + 0.5 * ((q + 2 * mu) * lp + (n - q - 2 * mu) * l1p))
+        terms.append(SignedLog(-1 if mu % 2 else 1, mag))
+    pref = signed_comb(n, m).log_magnitude - signed_comb(n, m_prime).log_magnitude
+    log_abs_sum = signed_log_sum(
+        [SignedLog(1, t.log_magnitude) for t in terms]).log_magnitude
+    log_bound = (pref + 2.0 * log_abs_sum + math.log(4.0 * len(terms))
+                 - 53.0 * math.log(2.0))
+    if log_bound > math.log(1e-10):
+        raise ArithmeticError("beyond double precision")
+    s = signed_log_sum(terms)
+    if s.sign == 0:
+        return 0.0
+    return math.exp(pref + 2.0 * s.log_magnitude)
+
+
+def jacobi_per_factor(spec: TransferSpec, m_prime: int) -> float:
+    """bose_jacobi_probability with the finite sum over per-factor SignedLogs."""
+    n, m, p = spec.n, spec.m, spec.p
+    if p == 0.0:
+        return 1.0 if m_prime == m else 0.0
+    if p == 1.0:
+        return 1.0 if m_prime == n - m else 0.0
+    q = m_prime - m
+    a, b, x = n - m_prime - m, q, 2.0 * p - 1.0
+    if m == 0 or (a >= 0 and b >= 0):
+        jac = jacobi_polynomial(m, a, b, x)
+    else:
+        minus = SignedLog.from_linear((x - 1.0) / 2.0)
+        plus = SignedLog.from_linear((x + 1.0) / 2.0)
+        jac = signed_log_sum([signed_comb(m + a, m - s) * signed_comb(m + b, s)
+                              * minus.pow(s) * plus.pow(m - s)
+                              for s in range(m + 1)])
+    if jac.sign == 0:
+        return 0.0
+    pref = (log_factorial(m) + log_factorial(n - m)
+            - log_factorial(m_prime) - log_factorial(n - m_prime)
+            + q * math.log(p) + (n - m_prime - m) * math.log1p(-p))
+    return math.exp(pref + 2.0 * jac.log_magnitude)
+
+
+class TestScalarChannelsPerTerm:
+    # the channels build one (sign, ln) per term from floats; the values
+    # must be those of per-factor SignedLog arithmetic, bit for bit
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 3e-5, 0.999])
+    def test_bitwise_equal_to_per_factor_arithmetic(self, p):
+        for n in range(1, 13):
+            for m in range(n + 1):
+                spec = TransferSpec(n, m, p)
+                for mp in range(n + 1):
+                    assert (bose_jacobi_probability(spec, mp)
+                            == jacobi_per_factor(spec, mp))
+                    assert (bose_amplitude_probability(spec, mp)
+                            == pathway_sum_per_factor(spec, mp))
+
+    @pytest.mark.parametrize("n, m, p", [(20, 10, 0.5), (25, 7, 0.5), (30, 12, 0.3)])
+    def test_rounding_guard_fires_alike(self, n, m, p):
+        spec = TransferSpec(n, m, p)
+        raised = 0
+        for mp in range(n + 1):
+            try:
+                ref = pathway_sum_per_factor(spec, mp)
+            except ArithmeticError:
+                raised += 1
+                with pytest.raises(ArithmeticError):
+                    bose_amplitude_probability(spec, mp)
+                continue
+            assert bose_amplitude_probability(spec, mp) == ref
+        assert raised > 0
 
 
 def sampled_counts(dist) -> np.ndarray:
