@@ -63,6 +63,13 @@ _AMPLITUDE_ABS_TOL = 1e-10
 # nulls must not surface as stray values like -1e-18.
 CANCELLATION_EPS = 1e-15
 
+# A log magnitude L is known only to about an ulp of L (up to |L| 2**-52),
+# and a product of SignedLogs rounds once more, so a term e**L carries a
+# relative error near |L| 2**-51.  A mixed-sign total below that noise,
+# summed over the terms, is a null as well: a null formed from logs near
+# 30 otherwise surfaces as a stray 3.6e-15 of the largest term.
+_LOG_NOISE = 2.0 ** -51
+
 _EXACT_COMB_LIMIT = 512  # binomials with a side this small use exact integers
 
 
@@ -178,8 +185,9 @@ def signed_log_sum(terms: Iterable[SignedLog]) -> SignedLog:
 
     The largest magnitude is factored out, the rescaled signed terms are
     accumulated in descending-magnitude order with Neumaier compensation,
-    and totals below CANCELLATION_EPS of the largest term collapse to the
-    exact zero element.
+    and totals below CANCELLATION_EPS of the largest term, or below the
+    rounding noise of the terms' log magnitudes, collapse to the exact
+    zero element.
     """
     live = [t for t in terms if t.sign != 0]
     if not live:
@@ -190,8 +198,10 @@ def signed_log_sum(terms: Iterable[SignedLog]) -> SignedLog:
         return _ZERO
     total = 0.0
     comp = 0.0
+    noise = 0.0
     for t in live:
         v = t.sign * math.exp(t.log_magnitude - lead)
+        noise += abs(v * t.log_magnitude)
         s = total + v
         if abs(total) >= abs(v):
             comp += (total - s) + v
@@ -199,7 +209,7 @@ def signed_log_sum(terms: Iterable[SignedLog]) -> SignedLog:
             comp += (v - s) + total
         total = s
     total += comp
-    if abs(total) < CANCELLATION_EPS:
+    if abs(total) < max(CANCELLATION_EPS, _LOG_NOISE * noise):
         return _ZERO
     return SignedLog(1 if total > 0.0 else -1, lead + math.log(abs(total)))
 

@@ -632,6 +632,11 @@ class TestJacobiPolynomial:
         else:
             assert got == pytest.approx(float(ref), rel=1e-9, abs=1e-12)
 
+    def test_exact_zero_is_not_a_stray_value(self):
+        # the terms' rounding once left 1.7e-12 here
+        assert jacobi_exact(11, 8, -5, Fraction(0)) == 0
+        assert jacobi_polynomial(11, 8, -5, 0.0).is_zero()
+
     def test_large_parameters_stay_finite(self):
         got = jacobi_polynomial(12, 99976, 12, 2 * 3e-5 - 1.0)
         assert got.sign != 0

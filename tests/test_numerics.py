@@ -222,5 +222,13 @@ class TestSignedLogSum:
         if lhs.sign != 0:
             assert lhs.to_linear() == pytest.approx(rhs.to_linear(), rel=1e-12)
 
+    def test_null_within_log_rounding_collapses(self):
+        # ln magnitudes one ulp apart near 30 leave a stray 3.6e-15 of the
+        # lead; scaled by 8 the same two terms round to equal logs.
+        terms = [SignedLog(-1, 30.0), SignedLog(1, math.nextafter(30.0, 0.0))]
+        c = SignedLog.from_linear(8.0)
+        assert signed_log_sum(terms).is_zero()
+        assert signed_log_sum([c * t for t in terms]).is_zero()
+
     def test_cancellation_threshold_constant(self):
         assert CANCELLATION_EPS == 1e-15
