@@ -24,10 +24,13 @@ Routes of a finite-N row (``transfer_probabilities``): p in {0, 1} is a
 point mass and m in {0, N} the binomial law.  Bosonic rows with
 min(m, N - m) <= 20 evaluate each entry through the Jacobi closed form
 on the symmetric image of (m, m'), which keeps the reversal symmetry
-bitwise.  Every other row, classical or bosonic, is swept over its
-support window by Miller's method for the minimal solution of a
-three-term recurrence in m' (Gautschi, SIAM Review 9, 1967): O(window)
-work instead of O(N min(m, N - m)), and no ln k! table.  Rare-event
+bitwise.  These two routes read the ln k! table and evaluate entries
+one by one over the row's support window only; entries past it would
+underflow, so they are exact zeros.  Every other row, classical or
+bosonic, is swept over its support window by Miller's method for the
+minimal solution of a three-term recurrence in m' (Gautschi, SIAM
+Review 9, 1967), with no ln k! table.  Either way a row costs O(window)
+work instead of O(N min(m, N - m)).  Rare-event
 rows: the classical one and the bosonic one with m = 0 are the Poisson
 law, w = 0 is a point mass, and every other bosonic row takes the same
 window sweep with the Charlier recurrence, the N -> infinity limit of
@@ -42,7 +45,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -81,9 +84,11 @@ _TAIL_PROB_EPS = 1e-14
 # classical row with 0 < m < n, take the support-window sweep.
 _SWEEP_MIN_COUNT = 20
 
-# The sweep window starts at mean +- (45 sd + 30) and its margin doubles
-# until each edge sits at 0 or n or at least _EDGE_DROP below the peak
-# in ln, beyond the double range, where the Miller start's error is lost.
+# The support window starts at mean +- (45 sd + 30) and its margin
+# doubles until each edge sits at 0 or n or at least _EDGE_DROP below
+# the peak in ln, beyond the double range, where the Miller start's error
+# is lost.  Rows evaluated entry by entry need an edge at least
+# _EDGE_DROP below 0 in ln, past exp's underflow at -745.
 _WINDOW_SDS = 45.0
 _WINDOW_PAD = 30.0
 _EDGE_DROP = 800.0
@@ -384,6 +389,15 @@ def _sweep_logs(values: array, marks: list, log_sigma: float) -> np.ndarray:
     return out
 
 
+def _windows(mean: float, sd: float, n) -> Iterator[tuple[int, int]]:
+    """Support windows [lo, hi] within 0..n: mean +- (45 sd + 30), then
+    with the margin doubled at each step."""
+    margin = _WINDOW_SDS * sd + _WINDOW_PAD
+    while True:
+        yield max(0, math.floor(mean - margin)), min(n, math.ceil(mean + margin))
+        margin *= 2.0
+
+
 def _sweep_window(coeffs, mean: float, sd: float, split: float,
                   sigma: float, overlap: int, bose: bool,
                   n=math.inf) -> tuple[int, np.ndarray]:
@@ -400,10 +414,7 @@ def _sweep_window(coeffs, mean: float, sd: float, split: float,
     at the overlap point of largest magnitude.
     """
     log_sigma = math.log(sigma)
-    margin = _WINDOW_SDS * sd + _WINDOW_PAD
-    while True:
-        lo = max(0, math.floor(mean - margin))
-        hi = min(n, math.ceil(mean + margin))
+    for lo, hi in _windows(mean, sd, n):
         cut = min(max(math.floor(split), lo), hi)
         top, bottom = min(hi, cut + overlap), max(lo, cut - overlap)
         fwd, fwd_marks = _miller_sweep(*coeffs(lo, top, False))
@@ -435,7 +446,6 @@ def _sweep_window(coeffs, mean: float, sd: float, split: float,
                 and (hi == n or ln[-1] < peak - _EDGE_DROP)):
             scaled = np.exp(ln - peak)
             return lo, scaled / scaled.sum()
-        margin *= 2.0
 
 
 def _sweep_row(n: int, m: int, p: float, bose: bool) -> tuple[int, np.ndarray]:
@@ -470,6 +480,31 @@ def _on_range(lo: int, row: np.ndarray, mp_lo: int, mp_hi: int) -> np.ndarray:
     return out
 
 
+def _windowed_range(log_range, n: int, mean: float, sd: float,
+                    mp_lo: int, mp_hi: int) -> np.ndarray:
+    """Entries mp_lo..mp_hi of a row whose ln entries log_range(lo, hi)
+    evaluates column by column, over the row's support window only.
+
+    While the requested range reaches past an edge of the window short of
+    0 or n and the largest of the four outermost ln entries on that side
+    is not below -_EDGE_DROP (Jacobi rows oscillate), the next, wider
+    window is tried and the range evaluated anew.  Entries past the
+    window would underflow exp, so they are exact zeros.
+    """
+    for lo, hi in _windows(mean, sd, n):
+        first, last = max(lo, mp_lo), min(hi, mp_hi)
+        # stretched over the edges to test; an edge short of 0 or n lies
+        # at least 30 points from the other one
+        if mp_lo < lo:
+            last = max(last, lo + 3)
+        if mp_hi > hi:
+            first = min(first, hi - 3)
+        ln = log_range(first, last)
+        if ((mp_lo >= lo or ln[:4].max() < -_EDGE_DROP)
+                and (mp_hi <= hi or ln[-4:].max() < -_EDGE_DROP)):
+            return _on_range(first, np.exp(ln), mp_lo, mp_hi)
+
+
 def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
                            *, bose: bool) -> np.ndarray:
     """Probabilities of final counts mp_lo..mp_hi for either model, by
@@ -486,15 +521,22 @@ def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
     if p == 1.0:
         return _on_range(n - m, np.ones(1), mp_lo, mp_hi)
     if m in (0, n):
-        counts = np.arange(mp_lo, mp_hi + 1)
-        # m = n is the relabeled image of m = 0, evaluated through the
-        # identical expression so the relabel symmetry holds bitwise
-        return np.exp(_binomial_log_pmf(n, counts if m == 0 else n - counts,
-                                        math.log(p), math.log1p(-p),
-                                        log_factorial_array(n)))
-    if bose and min(m, n - m) <= _SWEEP_MIN_COUNT:
-        return np.exp(_bose_log_range(n, m, p, mp_lo, mp_hi))
-    return _on_range(*_sweep_row(n, m, p, bose), mp_lo, mp_hi)
+        lp, l1p, lf = math.log(p), math.log1p(-p), log_factorial_array(n)
+
+        def log_range(lo: int, hi: int) -> np.ndarray:
+            counts = np.arange(lo, hi + 1)
+            # m = n is the relabeled image of m = 0, evaluated through the
+            # identical expression so the relabel symmetry holds bitwise
+            return _binomial_log_pmf(n, counts if m == 0 else n - counts,
+                                     lp, l1p, lf)
+    elif bose and min(m, n - m) <= _SWEEP_MIN_COUNT:
+        log_range = partial(_bose_log_range, n, m, p)
+    else:
+        return _on_range(*_sweep_row(n, m, p, bose), mp_lo, mp_hi)
+    # the bosonic mean and sd, which are the binomial ones for m in {0, n}
+    q = 1.0 - p
+    sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
+    return _windowed_range(log_range, n, m * q + (n - m) * p, sd, mp_lo, mp_hi)
 
 
 def classical_exact(spec: TransferSpec) -> OccupancyDistribution:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, eval_jacobi
+from scipy.special import eval_genlaguerre
 
 from bosecount.distributions import (
     OccupancyDistribution,
@@ -21,6 +21,8 @@ from bosecount.distributions import (
 )
 from bosecount.distributions import (
     _SWEEP_MIN_COUNT,
+    _WINDOW_PAD,
+    _WINDOW_SDS,
     _bose_log_range,
     _rare_limit_tail_bound,
     _sweep_row,
@@ -590,6 +592,76 @@ class TestSupportWindowSweep:
         assert abs(math.fsum(probs) - 1.0) <= 1e-15
 
 
+class TestSupportWindowRoutes:
+    """The binomial (m in {0, n}) and Jacobi-image rows, evaluated over
+    their support window only: byte for byte the full-range evaluation."""
+
+    P_WINDOW = (1e-120, 3e-5, 0.01, 0.3, 0.5, 0.999)
+
+    @staticmethod
+    def full_row(n, m, p):
+        """Every entry 0..n by the full-range expression of each route."""
+        if 0 < m < n:
+            return np.exp(_bose_log_range(n, m, p, 0, n))
+        lf = log_factorial_array(n)
+        counts = np.arange(n + 1)
+        if m == n:
+            counts = n - counts
+        c = counts.astype(np.float64)
+        return np.exp(lf[n] - lf[counts] - lf[n - counts]
+                      + c * math.log(p) + (n - c) * math.log1p(-p))
+
+    @staticmethod
+    def ranges(n, m, p):
+        """[0, 12], [1, 1], [m, m] and ranges straddling the first window's
+        edges, clipped to 0..n."""
+        q = 1.0 - p
+        mean = m * q + (n - m) * p
+        margin = _WINDOW_SDS * math.sqrt(p * q * (n + 2.0 * m * (n - m))) + _WINDOW_PAD
+        spans = [(0, 12), (1, 1), (m, m)]
+        for edge in (math.floor(mean - margin), math.ceil(mean + margin)):
+            spans += [(edge - 2, edge + 2), (edge, edge), (edge - 1, n), (0, edge + 1)]
+        return {(max(0, lo), min(n, hi)) for lo, hi in spans if lo <= n and hi >= 0}
+
+    def test_rows_and_ranges_equal_full_evaluation(self):
+        for n in (1, 2, 5, 17, 64, 1000, 10000):
+            for m in sorted({m for m in (0, 1, 2, 3, 8, 20, n - 20, n - 3, n)
+                             if 0 <= m <= n}):
+                models = (True, False) if m in (0, n) else (True,)
+                for p in self.P_WINDOW:
+                    spec = TransferSpec(n, m, p)
+                    full = self.full_row(n, m, p)
+                    for bose in models:
+                        kernel = bose_exact if bose else classical_exact
+                        assert kernel(spec).probs.tobytes() == full.tobytes()
+                        for lo, hi in self.ranges(n, m, p):
+                            part = transfer_probabilities(spec, lo, hi, bose=bose)
+                            assert part.tobytes() == full[lo: hi + 1].tobytes()
+
+    def test_work_is_the_window(self, monkeypatch):
+        from bosecount import distributions
+
+        asked = []
+
+        def bose_log_range(n, m, p, mp_lo, mp_hi):
+            asked.append(mp_hi - mp_lo + 1)
+            return _bose_log_range(n, m, p, mp_lo, mp_hi)
+
+        binomial = distributions._binomial_log_pmf
+
+        def binomial_log_pmf(n, counts, *args):
+            asked.append(counts.size)
+            return binomial(n, counts, *args)
+
+        monkeypatch.setattr(distributions, "_bose_log_range", bose_log_range)
+        monkeypatch.setattr(distributions, "_binomial_log_pmf", binomial_log_pmf)
+        # the full rows have 100,001 entries; the support window ~230
+        for kernel, m in ((bose_exact, 3), (classical_exact, 0)):
+            asked.clear()
+            kernel(TransferSpec(100000, m, 3e-5))
+            assert 0 < sum(asked) < 2000
+
+
 class TestJacobiPolynomial:
     def test_degree_zero(self):
         got = jacobi_polynomial(0, 7, -3, 0.4)
@@ -614,8 +686,9 @@ class TestJacobiPolynomial:
            st.integers(min_value=0, max_value=30),
            st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=200)
-    def test_matches_scipy_for_nonnegative_params(self, n, a, b, x):
-        ref = eval_jacobi(n, a, b, x)
+    def test_matches_exact_rational_for_nonnegative_params(self, n, a, b, x):
+        # a float is an exact dyadic rational, so the reference is exact
+        ref = float(jacobi_exact(n, a, b, Fraction(x)))
         got = jacobi_polynomial(n, a, b, x).to_linear()
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
