@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import bosecount
-from bosecount.cli import _rows_csv, _rows_json, build_plan, main
+from bosecount.cli import _ROW_BLOCK, _rows_csv, _rows_json, build_plan, main
 from bosecount.distributions import (
     RareEventSpec,
     TransferSpec,
     bose_exact,
     bose_rare_limit,
+    classical_exact,
     classical_rare_limit,
 )
 
@@ -177,26 +178,103 @@ def reference_rows_json(start, probs, meta):
     return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
 
+def _edge_row():
+    probs = np.zeros(4 * _ROW_BLOCK + 5)
+    probs[_ROW_BLOCK] = 0.25            # first entry of the second block
+    probs[3 * _ROW_BLOCK - 1] = 0.75    # last entry of the third block
+    return probs
+
+
+def _lone_negative_zero():
+    probs = np.zeros(9)
+    probs[4] = -0.0
+    return probs
+
+
+def _lone_subnormal():
+    probs = np.zeros(_ROW_BLOCK + 1)
+    probs[-1] = 5e-324
+    return probs
+
+
 class TestRowWriters:
     @pytest.mark.parametrize("start, probs", [
         (0, np.array([0.0, 1.0, 5e-324])),
         (4, np.array([1.0])),
         (3, classical_rare_limit(RareEventSpec(3.0, 3)).probs),
         (0, bose_exact(TransferSpec(100000, 3, 3e-5)).probs),
-    ], ids=["edge-values", "single", "limit-start-3", "n-1e5"])
+        (7, _edge_row()),
+        (0, _lone_negative_zero()),
+        (0, bose_exact(TransferSpec(10000, 3, 3e-4)).probs[::-1]),
+        (2, _lone_subnormal()),
+    ], ids=["edge-values", "single", "limit-start-3", "n-1e5", "block-edges",
+            "negative-zero", "reversed", "lone-subnormal"])
     def test_bytes_match_reference_writers(self, start, probs):
         meta = {"model": "bose-exact", "n": 100000, "m": 3, "p": 3e-5}
-        assert _rows_csv(start, probs) == reference_rows_csv(start, probs)
-        assert _rows_json(start, probs, meta) == reference_rows_json(start, probs, meta)
+        assert "".join(_rows_csv(start, probs)) == reference_rows_csv(start, probs)
+        assert ("".join(_rows_json(start, probs, meta))
+                == reference_rows_json(start, probs, meta))
+
+    @pytest.mark.parametrize("n", [1000, 100000])
+    def test_no_kernel_returns_negative_zero(self, n):
+        """The writers print a block of bitwise +0.0 without repr, which
+        would drop the sign of a -0.0."""
+        for m in (0, 1, 3, 21, n - 1, n):
+            for p in (0.0, 1e-300, 3 / n, 0.5, 1.0):
+                spec = TransferSpec(n, m, p)
+                for probs in (bose_exact(spec).probs, classical_exact(spec).probs):
+                    assert not np.signbit(probs).any(), (n, m, p)
+        for w in (0.0, 1e-300, 3.0, 20.0):
+            for m in (0, 1, 3, 21, 300):
+                spec = RareEventSpec(w, m)
+                for probs in (bose_rare_limit(spec).probs, classical_rare_limit(spec).probs):
+                    assert not np.signbit(probs).any(), (w, m)
+
+
+def _fresh_interpreter(code):
+    """stdout of `code` run in a new interpreter on this checkout."""
+    src = str(Path(bosecount.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    return done.stdout.strip()
 
 
 def test_import_loads_no_scipy():
     code = ("import sys, bosecount.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(bosecount.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_import_loads_no_layer_and_no_numpy():
+    code = ("import sys, bosecount.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy' or m.startswith('bosecount.')))")
+    assert _fresh_interpreter(code) == "['bosecount.cli']"
+
+
+def test_dist_and_figure_load_no_verification_layers():
+    code = ("import os, sys; from bosecount.cli import main; "
+            "main(['dist', '--model', 'bose', '--N', '100', '--m', '3', '--w', '3', "
+            "'--out', os.devnull]); "
+            "main(['dist', '--model', 'bose', '--limit', '--m', '3', '--w', '3', "
+            "'--format', 'json', '--out', os.devnull]); "
+            "[main(['figure', '--id', fig, '--N', '100', '--out', os.devnull]) "
+            "for fig in '3456']; "
+            "print(sorted(m for m in sys.modules if m in "
+            "('bosecount.verification', 'bosecount.oracles', 'bosecount.dynamics')))")
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_public_names_resolve_to_their_home_objects():
+    code = ("import importlib, bosecount; "
+            "names = [n for n in bosecount.__all__ if n != '__version__']; "
+            "values = [getattr(bosecount, n) for n in names]; "
+            "homes = [getattr(importlib.import_module(v.__module__), n) "
+            "for n, v in zip(names, values)]; "
+            "print(len(names), all(v is h for v, h in zip(values, homes)), "
+            "all(v.__module__.startswith('bosecount.') for v in values), "
+            "hasattr(bosecount, 'no_such_name'))")
+    assert _fresh_interpreter(code) == "19 True True False"
 
 
 class TestFigure:
@@ -317,14 +395,14 @@ class TestVerify:
         assert "at most 30" in err
 
     def test_failure_reports_worst_case_and_exits_1(self, capsys, monkeypatch):
-        from bosecount import cli
+        from bosecount import verification
         from bosecount.verification import CheckResult
 
         def fake(max_n):
             return [CheckResult("synthetic check", 1e-12, 0.5,
                                 "(n=1, m=1, m'=1, p=0.3)", 1)]
 
-        monkeypatch.setattr(cli, "run_verification", fake)
+        monkeypatch.setattr(verification, "run_verification", fake)
         code, out, _ = run(capsys, "verify", "--max-N", "2")
         assert code == 1
         assert "FAIL" in out
