@@ -4,7 +4,7 @@ distinguishable particles (Poissonian) and identical bosons
 (interference-modified), with independent oracles and a CLI.
 
 The package namespace holds the production API; the oracles, the
-cross-check channels and their (sign, log) arithmetic live in
+exact-integer reference rows among them, live in
 ``bosecount.oracles``, the ln k! helpers in ``bosecount.numerics`` and
 the figure tables beside the kernels in ``bosecount.distributions``.
 

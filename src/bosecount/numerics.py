@@ -3,9 +3,7 @@
 Transfer probabilities at particle numbers around 1e5 pair binomial
 coefficients of order exp(7e4) with probability powers of order
 1e-5**k.  Neither factor fits a double on its own, so the kernels work
-with ln k! and exponentiate only final probabilities.  The (sign, log)
-arithmetic of the scalar cross-check channels lives in
-``bosecount.oracles``.
+with ln k! and exponentiate only final probabilities.
 """
 
 from __future__ import annotations

@@ -12,13 +12,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import TransferSpec, bose_exact, classical_exact
+from .distributions import (
+    RareEventSpec,
+    TransferSpec,
+    bose_exact,
+    bose_rare_limit,
+    classical_exact,
+)
 from .dynamics import TwoLevelParams, evolve, solve_pulse_duration
 from .oracles import (
-    bose_amplitude_probability,
-    bose_jacobi_probability,
     enumerate_bose_first_quantized,
     enumerate_distinguishable,
+    exact_bose_limit_row,
+    exact_bose_row,
+    exact_classical_row,
     fock_evolve,
 )
 
@@ -26,9 +33,12 @@ __all__ = ["CheckResult", "DEFAULT_P_GRID", "run_verification"]
 
 DEFAULT_P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-# Largest max_n accepted: the grid costs O(max_n**4) scalar channel
-# calls, about 6 s at 30 (2-CPU x86-64, Python 3.11).
+# Largest max_n accepted: the exact oracles cost O(max_n**4) integer
+# terms, and the whole grid about 2 s at 30 (2-CPU x86-64, Python 3.11).
 _MAX_VERIFY_N = 30
+
+# Mean event numbers of the rare-event limit rows checked.
+_LIMIT_W_GRID = (0.5, 3.0, 20.0)
 
 # Detuned, complex-tunnelling parameter set whose transfer ceiling still
 # clears the top of DEFAULT_P_GRID (p_max ~ 0.969).
@@ -81,16 +91,23 @@ def run_verification(max_n: int,
         return []
     results: list[CheckResult] = []
 
+    # |diff| <= tol*ref + tol*0.04 blends a relative contract with an
+    # absolute floor for small and interference-cancelled entries.
     classical = _Tracker()
-    for n in range(1, min(max_n, 16) + 1):
+    convolution = _Tracker()
+    for n in range(1, max_n + 1):
         for m in range(n + 1):
             for p in p_grid:
                 spec = TransferSpec(n, m, p)
                 exact = classical_exact(spec).probs
-                brute = enumerate_distinguishable(spec).probs
-                dev = float(np.abs(exact - brute).max())
-                classical.update(dev, f"(n={n}, m={m}, p={p})")
+                label = f"(n={n}, m={m}, p={p})"
+                if n <= 16:
+                    brute = enumerate_distinguishable(spec).probs
+                    classical.update(float(np.abs(exact - brute).max()), label)
+                ref = exact_classical_row(spec)
+                convolution.update(float((np.abs(exact - ref) / (ref + 0.04)).max()), label)
     results.append(classical.result("classical vs 2**n enumeration", 1e-12))
+    results.append(convolution.result("classical vs exact convolution", 1e-12))
 
     bose_fq = _Tracker()
     bose_fock = _Tracker()
@@ -114,9 +131,7 @@ def run_verification(max_n: int,
 
     # One table of bosonic rows per (n, p) feeds every check below; each
     # tracker still sees its cases in the order of its own nested loop.
-    jacobi = _Tracker()
-    scalar = _Tracker()
-    scalar_skipped = 0
+    pathway = _Tracker()
     norm = _Tracker()
     coincide = _Tracker()
     symmetry = _Tracker()
@@ -125,23 +140,10 @@ def run_verification(max_n: int,
                   for p in p_grid}
         for m in range(n + 1):
             for p in p_grid:
-                spec = TransferSpec(n, m, p)
-                exact = tables[p][m]
-                for m_prime in range(n + 1):
-                    label = f"(n={n}, m={m}, m'={m_prime}, p={p})"
-                    ref = exact[m_prime]
-                    # |diff| <= tol*ref + tol*0.04 blends the relative
-                    # contract with a 4e-12-at-tol-1e-10 absolute floor
-                    # for interference-cancelled entries.
-                    jac = bose_jacobi_probability(spec, m_prime)
-                    jacobi.update(float(abs(jac - ref) / (ref + 0.04)), label)
-                    try:
-                        amp = bose_amplitude_probability(spec, m_prime)
-                    except ArithmeticError:
-                        # beyond the sum's resolution (from n = 20 on this grid)
-                        scalar_skipped += 1
-                        continue
-                    scalar.update(float(abs(amp - ref) / (ref + 0.04)), label)
+                ref = exact_bose_row(TransferSpec(n, m, p))
+                devs = np.abs(tables[p][m] - ref) / (ref + 0.04)
+                for m_prime, dev in enumerate(devs.tolist()):
+                    pathway.update(dev, f"(n={n}, m={m}, m'={m_prime}, p={p})")
         for p in p_grid:
             table = tables[p]
             for m in range(n + 1):
@@ -156,19 +158,23 @@ def run_verification(max_n: int,
             classical0 = classical_exact(TransferSpec(n, 0, p)).probs
             coincide.update(float(np.abs(table[0] - classical0).max()),
                             f"(n={n}, m=0, p={p})")
-    results.append(jacobi.result("bose vs Jacobi closed form", 1e-10))
-    scalar_name = "bose vs scalar pathway sum"
-    if scalar_skipped:
-        scalar_name += f" ({scalar_skipped} entries beyond its resolution skipped)"
-    results.append(scalar.result(scalar_name, 1e-10))
+    results.append(pathway.result("bose vs exact pathway sum", 1e-12))
+
+    laguerre = _Tracker()
+    for w in _LIMIT_W_GRID:
+        for m in range(max_n + 1):
+            spec = RareEventSpec(w, m)
+            ref = exact_bose_limit_row(spec, 2 * max_n)
+            devs = np.abs(bose_rare_limit(spec, 2 * max_n).probs - ref) / (ref + 0.04)
+            for m_prime, dev in enumerate(devs.tolist()):
+                laguerre.update(dev, f"(w={w}, m={m}, m'={m_prime})")
+    results.append(laguerre.result("bose limit vs exact Laguerre form", 1e-12))
 
     unit = _Tracker()
     for p in p_grid:
-        spec = TransferSpec(1, 1, p)
-        dev = abs(bose_exact(spec).probs[1] - (1.0 - p))
-        dev = max(dev, abs(bose_jacobi_probability(spec, 1) - (1.0 - p)))
+        dev = abs(bose_exact(TransferSpec(1, 1, p)).probs[1] - (1.0 - p))
         unit.update(float(dev), f"(n=1, m=1, m'=1, p={p})")
-    results.append(unit.result("single-particle unitarity (closed-form exponent)", 1e-12))
+    results.append(unit.result("single-particle unitarity", 1e-12))
 
     results.append(norm.result("bose normalization", 1e-10))
     results.append(coincide.result("empty-mode coincidence with classical", 0.0))

@@ -6,6 +6,7 @@ captured output) after its assertions pass.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from bosecount.dynamics import TwoLevelParams, evolve, solve_pulse_duration
 from bosecount.oracles import (
     enumerate_bose_first_quantized,
     fock_evolve,
-    jacobi_polynomial,
     mc_sample_classical,
 )
 from bosecount.verification import run_verification
+from test_distributions import jacobi_exact
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 HEADLINE = TransferSpec(100000, 3, 3e-5)
@@ -78,9 +79,10 @@ def test_criterion_3_two_boson_interference_null():
 
 
 def test_criterion_4_oracle_equivalence_small_scale():
-    # run_verification's N <= 8 grid: classical vs 2**N enumeration, and
-    # the bose closed form, first-quantized enumeration and number-basis
-    # evolution pairwise, on the detuned complex-tunnelling pulse
+    # run_verification's N <= 8 grid: classical vs 2**N enumeration, the
+    # bose closed form, first-quantized enumeration and number-basis
+    # evolution pairwise on the detuned complex-tunnelling pulse, and the
+    # finite and limit rows against the exact-integer oracles
     start = time.perf_counter()
     checks = {r.name: r for r in run_verification(8)}
     elapsed = time.perf_counter() - start
@@ -89,6 +91,10 @@ def test_criterion_4_oracle_equivalence_small_scale():
         "bose vs number-basis evolution",
         "bose first-quantized vs number-basis evolution")]
     classical = checks["classical vs 2**n enumeration"]
+    exact = [checks[name] for name in (
+        "classical vs exact convolution",
+        "bose vs exact pathway sum",
+        "bose limit vs exact Laguerre form")]
     worst_bose = max(r.max_deviation for r in three_way)
     worst_classical = classical.max_deviation
     cases = classical.cases
@@ -96,9 +102,11 @@ def test_criterion_4_oracle_equivalence_small_scale():
     assert all(r.passed for r in checks.values())
     assert worst_bose <= 1e-10
     assert worst_classical <= 1e-12
+    assert all(r.tolerance <= 1e-12 for r in exact)
     assert elapsed < 30.0
+    exact_devs = ", ".join(f"{r.name} {r.max_deviation:.2e}" for r in exact)
     report(4, f"{cases} cases, bose three-way dev {worst_bose:.2e}, "
-              f"classical dev {worst_classical:.2e} ({elapsed:.1f} s)")
+              f"classical dev {worst_classical:.2e}, {exact_devs} ({elapsed:.1f} s)")
 
 
 def test_criterion_5_fock_oracle_scale_check():
@@ -261,13 +269,13 @@ def test_criterion_10_documented_defect_guard():
     results = {}
     for p in P_GRID:
         n = m = m_prime = 1
-        jac = jacobi_polynomial(m, n - m_prime - m, m_prime - m, 2 * p - 1)
+        jac = float(jacobi_exact(m, n - m_prime - m, m_prime - m, Fraction(2 * p - 1)))
         scale = (math.log(math.factorial(m)) + math.log(math.factorial(n - m))
                  - math.log(math.factorial(m_prime))
                  - math.log(math.factorial(n - m_prime))
                  + (m_prime - m) * math.log(p))
-        printed = math.exp(scale + (n - m_prime + m) * math.log1p(-p)) * jac.to_linear() ** 2
-        corrected = math.exp(scale + (n - m_prime - m) * math.log1p(-p)) * jac.to_linear() ** 2
+        printed = math.exp(scale + (n - m_prime + m) * math.log1p(-p)) * jac ** 2
+        corrected = math.exp(scale + (n - m_prime - m) * math.log1p(-p)) * jac ** 2
         assert abs(printed - (1 - p)) > 0.04          # broken exponent
         assert corrected == pytest.approx(1 - p, abs=1e-12)
         assert bose_exact(TransferSpec(1, 1, p)).probs[1] == pytest.approx(1 - p, abs=1e-12)

@@ -27,15 +27,8 @@ from bosecount.distributions import (
     _rare_limit_tail_bound,
     _sweep_row,
 )
-from bosecount.numerics import log_factorial, log_factorial_array
-from bosecount.oracles import (
-    SignedLog,
-    _pathway_sum_probability,
-    bose_amplitude_probability,
-    bose_jacobi_probability,
-    jacobi_polynomial,
-    signed_log_sum,
-)
+from bosecount.numerics import log_factorial_array
+from bosecount.oracles import exact_bose_limit_row, exact_bose_row, exact_classical_row
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -59,38 +52,35 @@ def jacobi_exact(degree: int, a: int, b: int, x: Fraction) -> Fraction:
     return total
 
 
-def amplitude_rounding_bound(spec: TransferSpec, m_prime: int) -> float:
-    """C(n,m)/C(n,m') * (sum of |pathway terms|)**2 * 4k * 2**-53."""
-    n, m, p = spec.n, spec.m, spec.p
-    q = m_prime - m
-    mus = range(max(0, -q), min(m, n - m - q) + 1)
-    logs = [math.log(math.comb(m, mu) * math.comb(n - m, q + mu))
-            + 0.5 * ((q + 2 * mu) * math.log(p) + (n - q - 2 * mu) * math.log1p(-p))
-            for mu in mus]
-    lead = max(logs)
-    log_abs_sum = lead + math.log(sum(math.exp(x - lead) for x in logs))
-    log_ratio = math.log(math.comb(n, m)) - math.log(math.comb(n, m_prime))
-    return math.exp(log_ratio + 2 * log_abs_sum) * 4 * len(mus) * 2.0 ** -53
+def jacobi_hypergeometric(degree: int, a: int, b: int, x: Fraction) -> Fraction:
+    """The same polynomial from its expansion about x = 1, sum over k of
+    C(degree+a, degree-k) C(degree+a+b+k, k) ((x-1)/2)**k (independent of
+    jacobi_exact; both are polynomial identities in a and b)."""
+    return sum((exact_general_binomial(degree + a, degree - k)
+                * exact_general_binomial(degree + a + b + k, k) * ((x - 1) / 2) ** k
+                for k in range(degree + 1)), Fraction(0))
 
 
-def rare_limit_entry_pathway_sum(w: float, m: int, m_prime: int) -> float:
-    """Literal alternating pathway sum of one bosonic limit entry, in
-    SignedLog space; accuracy degrades with the cancellation ratio."""
-    q = m_prime - m
-    if w == 0.0:
-        return 1.0 if q == 0 else 0.0
-    lw = math.log(w)
-    terms = []
-    for mu in range(max(0, -q), m + 1):
-        mag = (0.5 * (log_factorial(m_prime) + log_factorial(m))
-               + mu * lw
-               - log_factorial(mu) - log_factorial(m - mu)
-               - log_factorial(q + mu))
-        terms.append(SignedLog(-1 if mu % 2 else 1, mag))
-    s = signed_log_sum(terms)
-    if s.sign == 0:
-        return 0.0
-    return math.exp(q * lw - w + 2.0 * s.log_magnitude)
+def jacobi_closed_form(spec: TransferSpec, m_prime: int) -> float:
+    """P(m'|m) = m!(n-m)!/(m'!(n-m')!) p**(m'-m) (1-p)**(n-m'-m) J**2 with
+    J = P_m^(n-m'-m, m'-m)(2p-1), correctly rounded, for 0 < p < 1.
+
+    With p = num/den and rest = den - num, den**m J is the integer sum over
+    s of C(n-m', m-s) C(m', s) (-rest)**s num**(m-s) (jacobi_exact at
+    x = 2p - 1, whose binomial tops m + a = n - m' and m + b = m' are never
+    negative); the den powers of the prefactor and J**2 total den**n.
+    """
+    n, m = spec.n, spec.m
+    num, den = spec.p.as_integer_ratio()
+    rest = den - num
+    jac = sum(math.comb(n - m_prime, m - s) * math.comb(m_prime, s)
+              * (-rest) ** s * num ** (m - s) for s in range(m + 1))
+    q, a = m_prime - m, n - m_prime - m
+    top = (math.factorial(m) * math.factorial(n - m) * jac * jac
+           * num ** max(q, 0) * rest ** max(a, 0))
+    bottom = (math.factorial(m_prime) * math.factorial(n - m_prime) * den ** n
+              * num ** max(-q, 0) * rest ** max(-a, 0))
+    return top / bottom
 
 
 def limit_entry_mp(w: float, m: int, m_prime: int):
@@ -130,15 +120,6 @@ def chernoff_every_term(w: float, m: int, m_prime_max: int) -> float:
         log_lag[lo: lo + step] = top + np.log(np.exp(terms - top).sum(axis=0))
     log_bound = (m - m_prime_max - 1) * log_z + w * z_minus_1 + log_lag
     return min(1.0, math.exp(float(log_bound.min())))
-
-
-def classical_pathway_sum(n: int, m: int, p: float, m_prime: int) -> float:
-    """Classical entry as the float sum of its positive pathway terms;
-    within a few ulps for n <= 30."""
-    q = m_prime - m
-    return sum(math.comb(m, mu) * math.comb(n - m, q + mu)
-               * p ** (q + 2 * mu) * (1 - p) ** (n - q - 2 * mu)
-               for mu in range(max(0, -q), min(m, n - m - q) + 1))
 
 
 def pathway_entry_mp(n: int, m: int, p: float, m_prime: int, bose: bool):
@@ -332,53 +313,29 @@ class TestClassicalRareLimit:
 
 
 class TestBoseAmplitude:
+    """Closed-form entries of the exact pathway-sum oracle, bit for bit:
+    each entry is one correctly rounded division, as float(Fraction) is."""
+
     @pytest.mark.parametrize("p", P_GRID)
     def test_two_boson_same_count(self, p):
-        got = bose_amplitude_probability(TransferSpec(2, 1, p), 1)
-        assert got == pytest.approx((1 - 2 * p) ** 2, abs=1e-13)
+        got = exact_bose_row(TransferSpec(2, 1, p))[1]
+        assert got == float((1 - 2 * Fraction(p)) ** 2)
 
     def test_two_boson_interference_null(self):
-        assert bose_amplitude_probability(TransferSpec(2, 1, 0.5), 1) == 0.0
+        assert exact_bose_row(TransferSpec(2, 1, 0.5))[1] == 0.0
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_particle(self, p):
-        assert bose_amplitude_probability(TransferSpec(1, 1, p), 1) == pytest.approx(1 - p, rel=1e-13)
+        assert exact_bose_row(TransferSpec(1, 1, p))[1] == float(1 - Fraction(p))
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_two_boson_down_transfer(self, p):
-        got = bose_amplitude_probability(TransferSpec(2, 1, p), 0)
-        assert got == pytest.approx(2 * p * (1 - p), rel=1e-13)
+        row = exact_bose_row(TransferSpec(2, 1, p))
+        assert row[0] == row[2] == float(2 * Fraction(p) * (1 - Fraction(p)))
 
     def test_point_masses(self):
-        assert bose_amplitude_probability(TransferSpec(4, 1, 0.0), 1) == 1.0
-        assert bose_amplitude_probability(TransferSpec(4, 1, 1.0), 3) == 1.0
-
-    def test_raises_where_cancellation_exceeds_double(self):
-        # the unguarded sum returned 11.445 here; the true value is 2.373e-3
-        spec = TransferSpec(10000, 8, 0.3)
-        assert amplitude_rounding_bound(spec, 3000) > 1e10
-        with pytest.raises(ArithmeticError):
-            bose_amplitude_probability(spec, 3000)
-
-    def test_guard_silent_on_verify_grid(self):
-        # run_verification compares this channel over n <= 9, where the
-        # largest C(n,m)/C(n,m') * (sum |terms|)**2 is 31
-        for n in range(1, 10):
-            for m in range(n + 1):
-                for p in P_GRID:
-                    spec = TransferSpec(n, m, p)
-                    for mp in range(n + 1):
-                        assert amplitude_rounding_bound(spec, mp) < 1e-12
-                        bose_amplitude_probability(spec, mp)
-
-    def test_verification_reports_skipped_entries(self):
-        # at n = 20, p = 0.5 the guard fires on 9 entries of the grid;
-        # the check names them instead of dropping them silently
-        from bosecount.verification import run_verification
-        names = [r.name for r in run_verification(20, (0.5,))]
-        assert ("bose vs scalar pathway sum "
-                "(9 entries beyond its resolution skipped)") in names
-        assert "bose vs scalar pathway sum" in [r.name for r in run_verification(9)]
+        assert exact_bose_row(TransferSpec(4, 1, 0.0)).tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+        assert exact_bose_row(TransferSpec(4, 1, 1.0)).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
 
 
 class TestBoseExact:
@@ -434,37 +391,26 @@ class TestBoseExact:
         d = bose_exact(TransferSpec(6, 2, 1.0))
         assert d.probs[4] == 1.0
 
-    def test_matches_scalar_pathway_sum(self):
-        # kernel vs the compensated SignedLog sum, everywhere the sum is
-        # well conditioned (all N <= 30); tolerance is relative with a
-        # 4e-12 absolute floor for interference-cancelled entries.  The
-        # public routine must raise where its worst-case rounding bound
-        # exceeds 1e-10 (from N = 21 on), and agree with the sum elsewhere.
+    def test_matches_exact_pathway_sum(self):
+        # kernel vs the exact-integer pathway sum at every N <= 30; relative
+        # with a 4e-14 absolute floor for interference-cancelled entries
         for n in (1, 2, 3, 5, 8, 13, 21, 30):
             for m in range(n + 1):
                 for p in P_GRID:
                     spec = TransferSpec(n, m, p)
-                    probs = bose_exact(spec).probs
-                    for mp in range(n + 1):
-                        ref = probs[mp]
-                        amp = _pathway_sum_probability(spec, mp)
-                        assert abs(amp - ref) <= 1e-10 * ref + 4e-12
-                        if amplitude_rounding_bound(spec, mp) > 1e-10:
-                            with pytest.raises(ArithmeticError):
-                                bose_amplitude_probability(spec, mp)
-                        else:
-                            assert bose_amplitude_probability(spec, mp) == amp
+                    ref = exact_bose_row(spec)
+                    assert np.all(np.abs(bose_exact(spec).probs - ref) <= 1e-12 * (ref + 0.04))
 
     def test_matches_jacobi_closed_form_channel(self):
+        # the paper's Jacobi closed form, in exact integers, at every N <= 30
         for n in (1, 2, 3, 5, 8, 13, 21, 30):
             for m in range(n + 1):
                 for p in P_GRID:
                     spec = TransferSpec(n, m, p)
                     probs = bose_exact(spec).probs
                     for mp in range(n + 1):
-                        ref = probs[mp]
-                        jac = bose_jacobi_probability(spec, mp)
-                        assert abs(jac - ref) <= 1e-10 * ref + 4e-12
+                        ref = jacobi_closed_form(spec, mp)
+                        assert abs(probs[mp] - ref) <= 1e-12 * (ref + 0.04)
 
     def test_range_query_matches_full(self):
         spec = TransferSpec(200, 7, 0.4)
@@ -504,13 +450,12 @@ class TestSupportWindowSweep:
             for m in range(1, n):
                 for p in P_GRID:
                     probs = self.full_row(n, m, p, bose)
-                    for mp in range(n + 1):
-                        if bose:
-                            ref = _pathway_sum_probability(TransferSpec(n, m, p), mp)
-                            assert abs(probs[mp] - ref) <= 1e-10 * ref + 4e-12
-                        else:
-                            ref = classical_pathway_sum(n, m, p, mp)
-                            assert abs(probs[mp] - ref) <= 1e-13 * ref
+                    if bose:
+                        ref = exact_bose_row(TransferSpec(n, m, p))
+                        assert np.all(np.abs(probs - ref) <= 1e-12 * (ref + 0.04))
+                    else:
+                        ref = exact_classical_row(TransferSpec(n, m, p))
+                        assert np.all(np.abs(probs - ref) <= 1e-13 * ref)
 
     @pytest.mark.parametrize("n, m, p, bose, picks", [
         # the Poisson-like right tail the fixed mean +- (45 sd + 30) window cut
@@ -663,23 +608,20 @@ class TestSupportWindowRoutes:
 
 
 class TestJacobiPolynomial:
+    """jacobi_exact, the Jacobi value behind the closed-form defect tests,
+    against known values and the independent expansion about x = 1."""
+
     def test_degree_zero(self):
-        got = jacobi_polynomial(0, 7, -3, 0.4)
-        assert got.sign == 1 and got.log_magnitude == 0.0
+        assert jacobi_exact(0, 7, -3, Fraction(2, 5)) == 1
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
     def test_degree_one_legendre(self, x):
-        got = jacobi_polynomial(1, 0, 0, x).to_linear()
-        assert got == pytest.approx(x, abs=1e-15)
+        assert jacobi_exact(1, 0, 0, Fraction(x)) == Fraction(x)
 
     def test_degree_two_example(self):
-        # exact rational value of the degree-2, (3,1) polynomial at 1/5
-        # is 12/25 = 0.48
-        exact = jacobi_exact(2, 3, 1, Fraction(1, 5))
-        assert exact == Fraction(12, 25)
-        got = jacobi_polynomial(2, 3, 1, 0.2).to_linear()
-        assert got == pytest.approx(0.48, rel=1e-13)
-        assert got == pytest.approx(float(exact), rel=1e-13)
+        # the degree-2, (3,1) polynomial at 1/5 is 12/25 = 0.48
+        assert jacobi_exact(2, 3, 1, Fraction(1, 5)) == Fraction(12, 25)
+        assert jacobi_hypergeometric(2, 3, 1, Fraction(1, 5)) == Fraction(12, 25)
 
     @given(st.integers(min_value=0, max_value=25),
            st.integers(min_value=0, max_value=30),
@@ -687,10 +629,8 @@ class TestJacobiPolynomial:
            st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=200)
     def test_matches_exact_rational_for_nonnegative_params(self, n, a, b, x):
-        # a float is an exact dyadic rational, so the reference is exact
-        ref = float(jacobi_exact(n, a, b, Fraction(x)))
-        got = jacobi_polynomial(n, a, b, x).to_linear()
-        assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        # a float is an exact dyadic rational, so both sides are exact
+        assert jacobi_exact(n, a, b, Fraction(x)) == jacobi_hypergeometric(n, a, b, Fraction(x))
 
     @given(st.integers(min_value=0, max_value=12),
            st.integers(min_value=-12, max_value=12),
@@ -698,22 +638,18 @@ class TestJacobiPolynomial:
            st.fractions(min_value=-1, max_value=1))
     @settings(max_examples=200)
     def test_matches_exact_rational_any_integer_params(self, n, a, b, x):
-        ref = jacobi_exact(n, a, b, x)
-        got = jacobi_polynomial(n, a, b, float(x)).to_linear()
-        if ref == 0:
-            assert abs(got) < 1e-12
-        else:
-            assert got == pytest.approx(float(ref), rel=1e-9, abs=1e-12)
+        assert jacobi_exact(n, a, b, x) == jacobi_hypergeometric(n, a, b, x)
 
     def test_exact_zero_is_not_a_stray_value(self):
-        # the terms' rounding once left 1.7e-12 here
+        # float terms once left 1.7e-12 at this exact node
         assert jacobi_exact(11, 8, -5, Fraction(0)) == 0
-        assert jacobi_polynomial(11, 8, -5, 0.0).is_zero()
+        assert jacobi_hypergeometric(11, 8, -5, Fraction(0)) == 0
 
     def test_large_parameters_stay_finite(self):
-        got = jacobi_polynomial(12, 99976, 12, 2 * 3e-5 - 1.0)
-        assert got.sign != 0
-        assert math.isfinite(got.log_magnitude)
+        x = Fraction(2 * 3e-5 - 1.0)
+        got = jacobi_exact(12, 99976, 12, x)
+        assert got == jacobi_hypergeometric(12, 99976, 12, x)
+        assert got != 0 and math.isfinite(float(got))
 
 
 class TestBoseRareLimit:
@@ -794,14 +730,13 @@ class TestBoseRareLimit:
                     assert abs(d.probs[mp] - ref) <= 1e-12 * max(ref, 1e-3)
 
     def test_pathway_sum_cross_check(self):
-        # the literal alternating sum agrees wherever it is conditioned
+        # against the exact-integer Laguerre form of the pathway sum
         for w in (0.5, 1.0, 3.0):
             for m in range(10):
-                d = bose_rare_limit(RareEventSpec(w, m), 12)
-                for mp in range(13):
-                    ref = d.probs[mp]
-                    alt = rare_limit_entry_pathway_sum(w, m, mp)
-                    assert abs(alt - ref) <= 1e-9 * ref + 1e-10
+                spec = RareEventSpec(w, m)
+                ref = exact_bose_limit_row(spec, 12)
+                got = bose_rare_limit(spec, 12).probs
+                assert np.all(np.abs(got - ref) <= 1e-12 * (ref + 0.04))
 
     @pytest.mark.parametrize("w", [0.5, 3.0, 20.0])
     @pytest.mark.parametrize("m", [0, 3, 30, 300, 1000])
@@ -939,20 +874,26 @@ class TestDocumentedClosedFormDefect:
     the broken form cannot pass silently.
     """
 
-    @pytest.mark.parametrize("p", P_GRID)
-    def test_broken_exponent_fails_unitarity(self, p):
+    @staticmethod
+    def closed_form(p, broken):
+        """The Jacobi closed form at n = m = m' = 1 with the (1-p) exponent
+        n - m' + m if broken, else n - m' - m; the exact Jacobi value there
+        is p - 1."""
         n = m = m_prime = 1
-        jac = jacobi_polynomial(m, n - m_prime - m, m_prime - m, 2 * p - 1)
-        broken = math.exp(
+        jac = float(jacobi_exact(m, n - m_prime - m, m_prime - m, Fraction(2 * p - 1)))
+        exponent = n - m_prime + m if broken else n - m_prime - m
+        return math.exp(
             math.log(math.factorial(m)) + math.log(math.factorial(n - m))
             - math.log(math.factorial(m_prime)) - math.log(math.factorial(n - m_prime))
-            + (m_prime - m) * math.log(p)
-            + (n - m_prime + m) * math.log1p(-p)) * jac.to_linear() ** 2
+            + (m_prime - m) * math.log(p) + exponent * math.log1p(-p)) * jac ** 2
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_broken_exponent_fails_unitarity(self, p):
+        broken = self.closed_form(p, broken=True)
         assert broken == pytest.approx((1 - p) ** 3, rel=1e-12)
         assert abs(broken - (1 - p)) > 0.05
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_corrected_exponent_passes_unitarity(self, p):
-        spec = TransferSpec(1, 1, p)
-        assert bose_jacobi_probability(spec, 1) == pytest.approx(1 - p, abs=1e-12)
-        assert bose_exact(spec).probs[1] == pytest.approx(1 - p, abs=1e-12)
+        assert self.closed_form(p, broken=False) == pytest.approx(1 - p, abs=1e-12)
+        assert bose_exact(TransferSpec(1, 1, p)).probs[1] == pytest.approx(1 - p, abs=1e-12)

@@ -64,11 +64,11 @@ GOLDEN = {
     "plan --xi 1 --N 100000 --m 3 --w 3":
         "d91948b8ddd8689e0830ade801f61b07d8dc3660e55f57d2d1c75cad6e9cf6cd",
     "verify --max-N 6":
-        "18252a0a0a5b3f84b2a2284e531d91a5a4bc6c15a05e6a37c691c4b2760bfb76",
+        "9a18367b1b03c874178dea45cafc3988d7d079891a11f1d915256e63996d278f",
     "verify --max-N 8":
-        "11c2b73bac4e308a1c253d12d4a186fb2570aa5f5c75dffd5d834cc328e4bc2d",
+        "254c0c91136ce18b018b251b36e85dfadb5a2915e3bb2d421652ea4fe01bbba8",
     "verify --max-N 9":
-        "fae17ddda54a7fb304981dc495a559bb0a5f653c21c24588e1cb930fb5ed7a78",
+        "fdeccd5fa979d9331db4928db0c0342a4e2476527fff3c7d75b9a743bfd901aa",
 }
 
 

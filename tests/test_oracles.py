@@ -1,25 +1,24 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from bosecount.distributions import TransferSpec, bose_exact, classical_exact
+from bosecount.distributions import RareEventSpec, TransferSpec, bose_exact, classical_exact
 from bosecount.dynamics import TwoLevelParams, evolve, solve_pulse_duration
-from bosecount.numerics import log_factorial
 from bosecount.oracles import (
-    SignedLog,
     SizeLimit,
-    bose_amplitude_probability,
-    bose_jacobi_probability,
     enumerate_bose_first_quantized,
     enumerate_distinguishable,
+    exact_bose_limit_row,
+    exact_bose_row,
+    exact_classical_row,
     fock_evolve,
-    jacobi_polynomial,
     mc_sample_classical,
-    signed_log_sum,
 )
 from bosecount.verification import DEFAULT_P_GRID
+from test_distributions import jacobi_closed_form
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -207,97 +206,81 @@ class TestThreeWayAgreement:
                     assert np.abs(second - closed).max() < 1e-10
 
 
-def signed_comb(top: int, k: int) -> SignedLog:
-    """C(top, k) for integer top and k >= 0, as the log of the exact integer."""
-    if top >= 0:
-        value = math.comb(top, k)
-        return SignedLog(1, math.log(value)) if value else SignedLog.zero()
-    return SignedLog(-1 if k % 2 else 1, math.log(math.comb(-top + k - 1, k)))
+class TestExactOracles:
+    # every entry is one correctly rounded integer division, so entries
+    # that are equal rationals are equal floats, bit for bit; the bosonic
+    # closed forms are in test_distributions.TestBoseAmplitude
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 3e-5, 0.999])
+    def test_reversal_and_relabel_bitwise(self, p):
+        for n in range(1, 13):
+            rows = [exact_bose_row(TransferSpec(n, m, p)) for m in range(n + 1)]
+            for m in range(n + 1):
+                assert rows[n - m].tolist() == rows[m][::-1].tolist()
+                for mp in range(n + 1):
+                    assert rows[m][mp] == rows[mp][m]
+
+    @pytest.mark.parametrize("p", P_GRID + (3e-5,))
+    def test_two_particle_classical_closed_form(self, p):
+        x = Fraction(p)
+        assert exact_classical_row(TransferSpec(2, 1, p)).tolist() == [
+            float(x * (1 - x)), float(x * x + (1 - x) ** 2), float(x * (1 - x))]
+
+    def test_point_masses(self):
+        assert exact_classical_row(TransferSpec(4, 1, 0.0)).tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+        assert exact_classical_row(TransferSpec(4, 1, 1.0)).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+        assert exact_bose_limit_row(RareEventSpec(0.0, 3), 6).tolist() == [
+            0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_tiny_p_rows_are_finite(self):
+        for oracle in (exact_bose_row, exact_classical_row):
+            row = oracle(TransferSpec(30, 7, 1e-300))
+            assert np.isfinite(row).all()
+            assert row[7] == 1.0
+
+    def test_limit_rejects_negative_m_prime_max(self):
+        with pytest.raises(ValueError):
+            exact_bose_limit_row(RareEventSpec(3.0, 2), -1)
 
 
-def pathway_sum_per_factor(spec: TransferSpec, m_prime: int) -> float:
-    """bose_amplitude_probability with one SignedLog per factor."""
-    n, m, p = spec.n, spec.m, spec.p
-    if p == 0.0:
-        return 1.0 if m_prime == m else 0.0
-    if p == 1.0:
-        return 1.0 if m_prime == n - m else 0.0
+def pathway_sum_per_factor(spec: TransferSpec, m_prime: int) -> Fraction:
+    """C(n,m)/C(n,m') p**(q+2lo) (1-p)**(n-q-2hi) s**2, q = m' - m, with
+    s = sum of (-1)**mu C(m,mu) C(n-m,q+mu) p**(mu-lo) (1-p)**(hi-mu) over
+    the pathways mu = lo..hi, one Fraction per factor."""
+    n, m, p = spec.n, spec.m, Fraction(spec.p)
     q = m_prime - m
-    lp = math.log(p)
-    l1p = math.log1p(-p)
-    terms = []
-    for mu in range(max(0, -q), min(m, n - m - q) + 1):
-        mag = (signed_comb(m, mu).log_magnitude
-               + signed_comb(n - m, q + mu).log_magnitude
-               + 0.5 * ((q + 2 * mu) * lp + (n - q - 2 * mu) * l1p))
-        terms.append(SignedLog(-1 if mu % 2 else 1, mag))
-    pref = signed_comb(n, m).log_magnitude - signed_comb(n, m_prime).log_magnitude
-    log_abs_sum = signed_log_sum(
-        [SignedLog(1, t.log_magnitude) for t in terms]).log_magnitude
-    log_bound = (pref + 2.0 * log_abs_sum + math.log(4.0 * len(terms))
-                 - 53.0 * math.log(2.0))
-    if log_bound > math.log(1e-10):
-        raise ArithmeticError("beyond double precision")
-    s = signed_log_sum(terms)
-    if s.sign == 0:
-        return 0.0
-    return math.exp(pref + 2.0 * s.log_magnitude)
+    lo, hi = max(0, -q), min(m, n - m - q)
+    s = sum((-1) ** mu * math.comb(m, mu) * math.comb(n - m, q + mu)
+            * p ** (mu - lo) * (1 - p) ** (hi - mu) for mu in range(lo, hi + 1))
+    return (Fraction(math.comb(n, m), math.comb(n, m_prime))
+            * p ** (q + 2 * lo) * (1 - p) ** (n - q - 2 * hi) * s * s)
 
 
-def jacobi_per_factor(spec: TransferSpec, m_prime: int) -> float:
-    """bose_jacobi_probability with the finite sum over per-factor SignedLogs."""
-    n, m, p = spec.n, spec.m, spec.p
-    if p == 0.0:
-        return 1.0 if m_prime == m else 0.0
-    if p == 1.0:
-        return 1.0 if m_prime == n - m else 0.0
-    q = m_prime - m
-    a, b, x = n - m_prime - m, q, 2.0 * p - 1.0
-    if m == 0 or (a >= 0 and b >= 0):
-        jac = jacobi_polynomial(m, a, b, x)
-    else:
-        minus = SignedLog.from_linear((x - 1.0) / 2.0)
-        plus = SignedLog.from_linear((x + 1.0) / 2.0)
-        jac = signed_log_sum([signed_comb(m + a, m - s) * signed_comb(m + b, s)
-                              * minus.pow(s) * plus.pow(m - s)
-                              for s in range(m + 1)])
-    if jac.sign == 0:
-        return 0.0
-    pref = (log_factorial(m) + log_factorial(n - m)
-            - log_factorial(m_prime) - log_factorial(n - m_prime)
-            + q * math.log(p) + (n - m_prime - m) * math.log1p(-p))
-    return math.exp(pref + 2.0 * jac.log_magnitude)
+def convolution_per_factor(spec: TransferSpec, m_prime: int) -> Fraction:
+    """Sum over k leaving and j = m' - m + k entering of C(m,k) p**k
+    (1-p)**(m-k) C(n-m,j) p**j (1-p)**(n-m-j), one Fraction per factor."""
+    n, m, p = spec.n, spec.m, Fraction(spec.p)
+    return sum((math.comb(m, k) * p ** k * (1 - p) ** (m - k)
+                * math.comb(n - m, m_prime - m + k) * p ** (m_prime - m + k)
+                * (1 - p) ** (n - m_prime - k)
+                for k in range(max(0, m - m_prime), min(m, n - m_prime) + 1)), Fraction(0))
 
 
 class TestScalarChannelsPerTerm:
-    # the channels build one (sign, ln) per term from floats; the values
-    # must be those of per-factor SignedLog arithmetic, bit for bit
+    # the exact reference channels build each entry from scaled integers;
+    # the values must be those of per-factor Fraction arithmetic (and of the
+    # Jacobi closed form, an independent formula), bit for bit
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 3e-5, 0.999])
     def test_bitwise_equal_to_per_factor_arithmetic(self, p):
         for n in range(1, 13):
             for m in range(n + 1):
                 spec = TransferSpec(n, m, p)
+                bose, classical = exact_bose_row(spec), exact_classical_row(spec)
                 for mp in range(n + 1):
-                    assert (bose_jacobi_probability(spec, mp)
-                            == jacobi_per_factor(spec, mp))
-                    assert (bose_amplitude_probability(spec, mp)
-                            == pathway_sum_per_factor(spec, mp))
-
-    @pytest.mark.parametrize("n, m, p", [(20, 10, 0.5), (25, 7, 0.5), (30, 12, 0.3)])
-    def test_rounding_guard_fires_alike(self, n, m, p):
-        spec = TransferSpec(n, m, p)
-        raised = 0
-        for mp in range(n + 1):
-            try:
-                ref = pathway_sum_per_factor(spec, mp)
-            except ArithmeticError:
-                raised += 1
-                with pytest.raises(ArithmeticError):
-                    bose_amplitude_probability(spec, mp)
-                continue
-            assert bose_amplitude_probability(spec, mp) == ref
-        assert raised > 0
+                    assert bose[mp] == float(pathway_sum_per_factor(spec, mp))
+                    assert bose[mp] == jacobi_closed_form(spec, mp)
+                    assert classical[mp] == float(convolution_per_factor(spec, mp))
 
 
 def sampled_counts(dist) -> np.ndarray:
