@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 
@@ -24,8 +24,7 @@ __all__ = ["PlanReport", "main"]
 _ROW_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class PlanReport:
+class PlanReport(NamedTuple):
     """Planner output: pulse duration, reached p, and predicted counts."""
 
     tau: float
@@ -35,7 +34,7 @@ class PlanReport:
     m: int
     headline: float
     predicted: dict[int, float]
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def to_json(self) -> str:
         import json

@@ -30,7 +30,11 @@ underflow, so they are exact zeros.  Every other row, classical or
 bosonic, is swept over its support window by Miller's method for the
 minimal solution of a three-term recurrence in m' (Gautschi, SIAM
 Review 9, 1967), with no ln k! table.  Either way a row costs O(window)
-work instead of O(N min(m, N - m)).  Rare-event
+work instead of O(N min(m, N - m)).  The windows of the finite bosonic
+rows, on both routes, start at the edges their Krawtchouk recurrence
+predicts (_bose_window), so they hold little more than the support;
+every other window starts at mean +- (45 sd + 30), which is also the
+bosonic fallback.  Rare-event
 rows: the classical one and the bosonic one with m = 0 are the Poisson
 law, w = 0 is a point mass, and every other bosonic row takes the same
 window sweep with the Charlier recurrence, the N -> infinity limit of
@@ -92,6 +96,12 @@ _SWEEP_MIN_COUNT = 20
 _WINDOW_SDS = 45.0
 _WINDOW_PAD = 30.0
 _EDGE_DROP = 800.0
+# The first window of a finite bosonic row is predicted instead
+# (_bose_window): each edge lies _PREDICT_PAD points past where the row
+# is predicted to lie _EDGE_DROP + _PREDICT_GUARD below its envelope at
+# the mean in ln.
+_PREDICT_GUARD = 40.0
+_PREDICT_PAD = 8
 # Points past the bosonic split point swept from both sides, at most one
 # sd so they stay inside the oscillating region (half-width ~1.4 sd); the
 # sweeps are matched at the one of largest magnitude, never at a node.
@@ -389,20 +399,120 @@ def _sweep_logs(values: array, marks: list, log_sigma: float) -> np.ndarray:
     return out
 
 
-def _windows(mean: float, sd: float, n) -> Iterator[tuple[int, int]]:
-    """Support windows [lo, hi] within 0..n: mean +- (45 sd + 30), then
-    with the margin doubled at each step."""
+def _sd_window(mean: float, margin: float, n) -> tuple[int, int]:
+    """[lo, hi] = mean +- margin, rounded outward and clipped to 0..n."""
+    return max(0, math.floor(mean - margin)), min(n, math.ceil(mean + margin))
+
+
+def _windows(mean: float, sd: float, n,
+             first: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, int]]:
+    """Support windows [lo, hi] within 0..n: ``first`` when given, then
+    mean +- (45 sd + 30) with the margin doubled at each step, each
+    widened to hold ``first``, skipping those that add no point."""
+    if first is not None:
+        yield first
+    lo, hi = first or (math.inf, -math.inf)
     margin = _WINDOW_SDS * sd + _WINDOW_PAD
     while True:
-        yield max(0, math.floor(mean - margin)), min(n, math.ceil(mean + margin))
+        a, b = _sd_window(mean, margin, n)
+        if a < lo or b > hi:
+            lo, hi = min(lo, a), max(hi, b)
+            yield lo, hi
         margin *= 2.0
 
 
-def _sweep_window(coeffs, mean: float, sd: float, split: float,
+def _oscillator_reach(m: int, drop: float) -> float:
+    """Distance from the mean, in sd, at which the oscillator model of a
+    bosonic row with m <= n/2 has lost ``drop`` in ln amplitude.
+
+    The model is the Hermite function of degree m in y = (m' - mean)
+    sqrt(m + 1/2) / sd, with its turning point at y_t = sqrt(2m + 1);
+    past it the WKB exponent is (y s - y_t**2 arccosh(y / y_t)) / 2 with
+    s = sqrt(y**2 - y_t**2), convex in y, so Newton's method from
+    y_t + sqrt(2 drop), which lies beyond the root, falls onto it.
+    """
+    y_t = math.sqrt(2.0 * m + 1.0)
+    y = y_t + math.sqrt(2.0 * drop)
+    step = math.inf
+    while step > 1e-3:
+        s = math.sqrt(y * y - y_t * y_t)
+        step = (0.5 * (y * s - y_t * y_t * math.acosh(y / y_t)) - drop) / s
+        y -= step
+    return y / math.sqrt(m + 0.5)
+
+
+def _bose_window(n: int, m: int, p: float, mean: float, sd: float,
+                 mp_lo: int, mp_hi: int) -> Optional[tuple[int, int]]:
+    """First support window of the finite bosonic row (n, m, p) with
+    0 < m < n, predicted from its Krawtchouk recurrence for a request of
+    entries mp_lo..mp_hi.  None for n <= 2 _WINDOW_PAD, whose rows the
+    first 45-sd window nearly covers whole, and for p < _TINY_P, whose
+    sweeps run scaled by sqrt(p).
+
+    Outward from the mean, the amplitude changes per step k -> k+1 of
+    x(k+1) = alpha x(k) + beta x(k-1) by |beta| / R up and k+1 -> k by
+    1 / R down, with R = (|alpha| + sqrt(alpha**2 + 4 beta)) / 2 past
+    the turning points (the characteristic roots) and R = sqrt|beta|
+    between them, where the amplitude oscillates under that envelope.
+    Each edge lies _PREDICT_PAD points past where these steps add up to
+    _EDGE_DROP + _PREDICT_GUARD in ln of the row.
+
+    Both sides are first scanned 10 % + 16 points past the reach of the
+    oscillator model of the row (_oscillator_reach), which falls 1-2 %
+    short at p ~ 0.3 and far short where p n is small.  The decay only
+    steepens outward, so a scan that falls short is extended by the
+    steps its last rate still needs, at most fourfold.  None also where
+    the model window holds 3/4 or more of the requested part of the
+    first 45-sd window, which the prediction could then shrink little.
+    """
+    if n <= 2 * _WINDOW_PAD or p < _TINY_P:
+        return None
+    # rows with m > n/2 take the window of the relabelled row, reversed
+    flip = 2 * m > n
+    if flip:
+        m, mean, mp_lo, mp_hi = n - m, n - mean, n - mp_hi, n - mp_lo
+    start = math.floor(mean)
+    drop = 0.5 * (_EDGE_DROP + _PREDICT_GUARD)
+    model = sd * _oscillator_reach(m, drop)
+    lo, hi = _sd_window(start, model, n)
+    lo_sd, hi_sd = _sd_window(mean, _WINDOW_SDS * sd + _WINDOW_PAD, n)
+    if 4 * (hi - lo) >= 3 * (min(hi_sd, mp_hi) - max(lo_sd, mp_lo)):
+        return None
+    reach = [1.1 * model + 16.0] * 2  # steps scanned down and up
+    while True:
+        lo = max(0, start - math.ceil(reach[0]))
+        hi = min(n, start + math.ceil(reach[1]))
+        alpha, beta = _row_coeffs(n, m, p, True, 1.0, lo, hi, False)
+        size = -beta
+        disc = np.sqrt(np.maximum(alpha * alpha - 4.0 * size, 0.0))
+        root = 0.5 * (np.abs(alpha) + disc)
+        with np.errstate(divide="ignore"):
+            ln_root = np.log(np.maximum(root, np.sqrt(size)))
+            sides = (-ln_root[start - lo::-1],
+                     np.log(size[start - lo:]) - ln_root[start - lo:])
+        edges = []
+        for side, (steps, at_end) in enumerate(zip(sides, (lo == 0, hi == n))):
+            total = np.cumsum(steps)
+            past = total < -drop
+            if past.any():
+                edges.append(int(past.argmax()) + 1 + _PREDICT_PAD)
+            elif at_end:
+                edges.append(n)
+            else:
+                rate = -float(steps[-1])
+                more = (drop + float(total[-1])) / rate if rate > 0.0 else math.inf
+                reach[side] = min(4.0 * reach[side], reach[side] + max(more, 16.0))
+        if len(edges) == 2:
+            lo, hi = max(0, start - edges[0]), min(n, start + edges[1])
+            return (n - hi, n - lo) if flip else (lo, hi)
+
+
+def _sweep_window(coeffs, windows: Iterator[tuple[int, int]], split: float,
                   sigma: float, overlap: int, bose: bool,
                   n=math.inf) -> tuple[int, np.ndarray]:
     """(lo, probs): a row over its support window lo..lo+len(probs)-1,
-    normalized to sum 1, zero outside; the support ends at n.
+    normalized to sum 1, zero outside; the support ends at n.  The
+    windows are tried in turn until one passes the edge test.
 
     Miller's method (Gautschi, SIAM Review 9, 1967): ``coeffs(k0, k1,
     down)`` gives the (alpha, beta) of the sweep from k0 up to k1, or
@@ -414,7 +524,7 @@ def _sweep_window(coeffs, mean: float, sd: float, split: float,
     at the overlap point of largest magnitude.
     """
     log_sigma = math.log(sigma)
-    for lo, hi in _windows(mean, sd, n):
+    for lo, hi in windows:
         cut = min(max(math.floor(split), lo), hi)
         top, bottom = min(hi, cut + overlap), max(lo, cut - overlap)
         fwd, fwd_marks = _miller_sweep(*coeffs(lo, top, False))
@@ -462,13 +572,16 @@ def _sweep_row(n: int, m: int, p: float, bose: bool) -> tuple[int, np.ndarray]:
         split = mean
         sigma = math.sqrt(p) if p < _TINY_P else 1.0
         overlap = min(_BOSE_OVERLAP, int(sd))
+        first = _bose_window(n, m, p, mean, sd, 0, n)
     else:
         sd = math.sqrt(n * p * q)
         split = (m * q * q + (n - m) * p * p) / (p * p + q * q)
         sigma = p if p < _TINY_P else 1.0
         overlap = 0
+        first = None
     coeffs = partial(_row_coeffs, n, m, p, bose, sigma)
-    return _sweep_window(coeffs, mean, sd, split, sigma, overlap, bose, n)
+    return _sweep_window(coeffs, _windows(mean, sd, n, first), split, sigma,
+                         overlap, bose, n)
 
 
 def _on_range(lo: int, row: np.ndarray, mp_lo: int, mp_hi: int) -> np.ndarray:
@@ -480,7 +593,7 @@ def _on_range(lo: int, row: np.ndarray, mp_lo: int, mp_hi: int) -> np.ndarray:
     return out
 
 
-def _windowed_range(log_range, n: int, mean: float, sd: float,
+def _windowed_range(log_range, n: int, windows: Iterator[tuple[int, int]],
                     mp_lo: int, mp_hi: int) -> np.ndarray:
     """Entries mp_lo..mp_hi of a row whose ln entries log_range(lo, hi)
     evaluates column by column, over the row's support window only.
@@ -491,10 +604,10 @@ def _windowed_range(log_range, n: int, mean: float, sd: float,
     window is tried and the range evaluated anew.  Entries past the
     window would underflow exp, so they are exact zeros.
     """
-    for lo, hi in _windows(mean, sd, n):
+    for lo, hi in windows:
         first, last = max(lo, mp_lo), min(hi, mp_hi)
         # stretched over the edges to test; an edge short of 0 or n lies
-        # at least 30 points from the other one
+        # more than 3 points from the other one
         if mp_lo < lo:
             last = max(last, lo + 3)
         if mp_hi > hi:
@@ -520,6 +633,11 @@ def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
         return _on_range(m, np.ones(1), mp_lo, mp_hi)
     if p == 1.0:
         return _on_range(n - m, np.ones(1), mp_lo, mp_hi)
+    # the bosonic mean and sd, which are the binomial ones for m in {0, n}
+    q = 1.0 - p
+    mean = m * q + (n - m) * p
+    sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
+    first = None
     if m in (0, n):
         lp, l1p, lf = math.log(p), math.log1p(-p), log_factorial_array(n)
 
@@ -531,12 +649,11 @@ def transfer_probabilities(spec: TransferSpec, mp_lo: int, mp_hi: int,
                                      lp, l1p, lf)
     elif bose and min(m, n - m) <= _SWEEP_MIN_COUNT:
         log_range = partial(_bose_log_range, n, m, p)
+        first = _bose_window(n, m, p, mean, sd, mp_lo, mp_hi)
     else:
         return _on_range(*_sweep_row(n, m, p, bose), mp_lo, mp_hi)
-    # the bosonic mean and sd, which are the binomial ones for m in {0, n}
-    q = 1.0 - p
-    sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
-    return _windowed_range(log_range, n, m * q + (n - m) * p, sd, mp_lo, mp_hi)
+    return _windowed_range(log_range, n, _windows(mean, sd, n, first),
+                           mp_lo, mp_hi)
 
 
 def classical_exact(spec: TransferSpec) -> OccupancyDistribution:
@@ -702,7 +819,7 @@ def bose_rare_limit(spec: RareEventSpec,
     else:
         sigma = math.sqrt(w) if w < _TINY_P else 1.0
         lo, row = _sweep_window(partial(_charlier_coeffs, w, m, sigma),
-                                m + w, sd, m + w, sigma,
+                                _windows(m + w, sd, math.inf), m + w, sigma,
                                 min(_BOSE_OVERLAP, int(sd)), True)
         if lo == 0:
             row[0] = recapture_probability(spec)

@@ -24,6 +24,7 @@ from bosecount.distributions import (
     _WINDOW_PAD,
     _WINDOW_SDS,
     _bose_log_range,
+    _bose_window,
     _rare_limit_tail_bound,
     _sweep_row,
 )
@@ -457,6 +458,22 @@ class TestSupportWindowSweep:
                         ref = exact_classical_row(TransferSpec(n, m, p))
                         assert np.all(np.abs(probs - ref) <= 1e-13 * ref)
 
+    def test_predicted_windows_match_exact_rows(self):
+        # swept rows past n = 2 _WINDOW_PAD, where the first window is
+        # predicted from the recurrence wherever it can shrink much
+        predicted = 0
+        for n in (64, 96):
+            for m in range(_SWEEP_MIN_COUNT + 1, n - _SWEEP_MIN_COUNT):
+                for p in (0.01, 0.3, 0.9):
+                    q = 1.0 - p
+                    sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
+                    mean = m * q + (n - m) * p
+                    predicted += _bose_window(n, m, p, mean, sd, 0, n) is not None
+                    probs = bose_exact(TransferSpec(n, m, p)).probs
+                    ref = exact_bose_row(TransferSpec(n, m, p))
+                    assert np.all(np.abs(probs - ref) <= 1e-12 * (ref + 0.04))
+        assert predicted > 0
+
     @pytest.mark.parametrize("n, m, p, bose, picks", [
         # the Poisson-like right tail the fixed mean +- (45 sd + 30) window cut
         (10000, 1000, 3e-4, False, (990, 1003, 1110)),
@@ -558,22 +575,28 @@ class TestSupportWindowRoutes:
 
     @staticmethod
     def ranges(n, m, p):
-        """[0, 12], [1, 1], [m, m] and ranges straddling the first window's
-        edges, clipped to 0..n."""
+        """[0, 12], [1, 1], [m, m] and ranges straddling the edges of the
+        first 45-sd window and of the predicted window of a Jacobi-image
+        row, clipped to 0..n."""
         q = 1.0 - p
         mean = m * q + (n - m) * p
-        margin = _WINDOW_SDS * math.sqrt(p * q * (n + 2.0 * m * (n - m))) + _WINDOW_PAD
+        sd = math.sqrt(p * q * (n + 2.0 * m * (n - m)))
+        margin = _WINDOW_SDS * sd + _WINDOW_PAD
+        edges = [math.floor(mean - margin), math.ceil(mean + margin)]
+        if 0 < m < n:
+            edges += _bose_window(n, m, p, mean, sd, 0, n) or ()
         spans = [(0, 12), (1, 1), (m, m)]
-        for edge in (math.floor(mean - margin), math.ceil(mean + margin)):
+        for edge in edges:
             spans += [(edge - 2, edge + 2), (edge, edge), (edge - 1, n), (0, edge + 1)]
         return {(max(0, lo), min(n, hi)) for lo, hi in spans if lo <= n and hi >= 0}
 
     def test_rows_and_ranges_equal_full_evaluation(self):
-        for n in (1, 2, 5, 17, 64, 1000, 10000):
+        grid = [(n, self.P_WINDOW) for n in (1, 2, 5, 17, 64, 1000, 10000)]
+        for n, ps in grid + [(100000, (0.01, 0.3))]:
             for m in sorted({m for m in (0, 1, 2, 3, 8, 20, n - 20, n - 3, n)
                              if 0 <= m <= n}):
                 models = (True, False) if m in (0, n) else (True,)
-                for p in self.P_WINDOW:
+                for p in ps:
                     spec = TransferSpec(n, m, p)
                     full = self.full_row(n, m, p)
                     for bose in models:
@@ -605,6 +628,71 @@ class TestSupportWindowRoutes:
             asked.clear()
             kernel(TransferSpec(100000, m, 3e-5))
             assert 0 < sum(asked) < 2000
+
+
+class TestPredictedWindows:
+    """The first window of a finite bosonic row comes from its Krawtchouk
+    recurrence (_bose_window); the 45-sd windows are the fallback."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Points each sweep and Jacobi-image evaluation is asked for."""
+        from bosecount import distributions
+
+        swept, columns = [], []
+        miller = distributions._miller_sweep
+
+        def miller_sweep(alpha, beta):
+            swept.append(alpha.size + 1)
+            return miller(alpha, beta)
+
+        def bose_log_range(n, m, p, mp_lo, mp_hi):
+            columns.append(mp_hi - mp_lo + 1)
+            return _bose_log_range(n, m, p, mp_lo, mp_hi)
+
+        monkeypatch.setattr(distributions, "_miller_sweep", miller_sweep)
+        monkeypatch.setattr(distributions, "_bose_log_range", bose_log_range)
+        return swept, columns
+
+    @pytest.mark.parametrize("m", [3, 316])
+    def test_work_is_the_support(self, monkeypatch, m):
+        # the 45-sd window held 34,568 columns (m = 3) and 100,018 points
+        swept, columns = self.counted(monkeypatch)
+        probs = bose_exact(TransferSpec(100000, m, 0.3)).probs
+        assert sum(swept) + sum(columns) <= 1.1 * np.count_nonzero(probs)
+
+    @pytest.mark.parametrize("m", [3, 316])
+    def test_rare_rows_take_one_window(self, monkeypatch, m):
+        # one Jacobi-image evaluation, or one sweep from each edge
+        swept, columns = self.counted(monkeypatch)
+        bose_exact(TransferSpec(100000, m, 3e-5))
+        assert (len(columns), len(swept)) == ((1, 0) if m <= _SWEEP_MIN_COUNT else (0, 2))
+
+    @pytest.mark.parametrize("n, m, p", [(1000, 25, 1e-6), (100000, 316, 0.3),
+                                         (100000, 3, 0.3)])
+    def test_failed_prediction_falls_back(self, monkeypatch, n, m, p):
+        from bosecount import distributions
+
+        spec = TransferSpec(n, m, p)
+        swept, columns = self.counted(monkeypatch)
+        monkeypatch.setattr(distributions, "_bose_window", lambda *args: None)
+        unpredicted = bose_exact(spec).probs
+        calls = len(swept) + len(columns)
+        monkeypatch.setattr(distributions, "_bose_window",
+                            lambda n, m, p, mean, *args: (math.floor(mean) - 2,
+                                                          math.floor(mean) + 2))
+        fallen = bose_exact(spec).probs
+        # the narrow window fails the edge test, and the 45-sd windows that
+        # follow hold it: one window more, then the same row
+        per_window = 2 if swept else 1
+        assert len(swept) + len(columns) == 2 * calls + per_window
+        assert fallen.tobytes() == unpredicted.tobytes()
+
+    def test_steep_rare_row_normalized(self):
+        # each step off m' = m costs ~10 in ln here, so the Gaussian sd
+        # (0.22) says nothing about the edges
+        probs = bose_exact(TransferSpec(1000, 25, 1e-6)).probs
+        assert abs(math.fsum(probs) - 1.0) <= 1e-15
 
 
 class TestJacobiPolynomial:
